@@ -243,6 +243,9 @@ def _cmd_verify(args) -> int:
         for cid in cids:
             if cid not in CLAIMS:
                 raise CliError(f"unknown claim {cid!r}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise CliError(f"--jobs must be 1..{cpus} (the CPU count)")
     try:
         universe = Universe.parse(args.universe)
     except ValueError as err:

@@ -151,26 +151,24 @@ def _greedy_saturated_subcover(space: FiniteSpace, cp: CoverProperty,
     return chosen
 
 
-# -- template classification cache ---------------------------------------------
+# -- symbolic results, memoized on the space (SkeletonSpace.recall) ------------
 
-_CLASSIFIED: dict = {}
+
+def template_flags(space: SkeletonSpace, t: SymbolicSet):
+    """The class flags of a symbolic set, memoized."""
+    return space.recall(("flags", t.counts), lambda: sym_classify(space, t))
 
 
 def classified_templates(space: SkeletonSpace):
-    """All templates of the skeleton with their class flags, cached."""
-    if space not in _CLASSIFIED:
-        out = []
-        for t in all_symbolic_sets(space):
-            out.append((t, sym_classify(space, t)))
-        _CLASSIFIED[space] = tuple(out)
-    return _CLASSIFIED[space]
+    """All templates of the skeleton with their class flags, memoized."""
+    return space.recall(("templates",), lambda: tuple(
+        (t, template_flags(space, t)) for t in all_symbolic_sets(space)))
 
 
 def _sym_saturate(space: SkeletonSpace, sat: str, t: SymbolicSet) -> SymbolicSet:
     if sat == "id":
         return t
-    op = {"cl": "cl", "pcl": "pcl", "scl": "scl", "delta-pcl": "delta-pcl"}[sat]
-    return sym_operator(space, op, t)
+    return space.recall((sat, t.counts), lambda: sym_operator(space, sat, t))
 
 
 def _element_classes(space: SkeletonSpace):
@@ -254,12 +252,15 @@ def _pivot_search(space: SkeletonSpace, cp: CoverProperty, classes):
     return None
 
 
-_COVER_CACHE: dict = {}
+_COVER_CACHE: dict = {}  # finite spaces only; skeletons use their memo
 
 
 def check_cover(space, prop) -> Verdict:
     """Decide a cover-saturation property; finite spaces are always True."""
     cp = COVER_PROPERTIES[prop] if isinstance(prop, str) else prop
+    if isinstance(space, SkeletonSpace):
+        return space.recall(("cover", cp.name),
+                            lambda: _check_cover_uncached(space, cp))
     key = (space, cp.name)
     if key not in _COVER_CACHE:
         _COVER_CACHE[key] = _check_cover_uncached(space, cp)
@@ -307,7 +308,12 @@ def check_cover_relative(space, subset, prop) -> Verdict:
             "family_size": len(family),
             "subcover": [list(points_of(v)) for v in subcover],
         })
-    s: SymbolicSet = subset
+    return space.recall(("relative", cp.name, subset.counts),
+                        lambda: _check_relative_uncached(space, subset, cp))
+
+
+def _check_relative_uncached(space: SkeletonSpace, s: SymbolicSet,
+                             cp: CoverProperty) -> Verdict:
     if s.is_empty():
         return Verdict(True, certificate={"kind": "empty"})
     if not s.has_infinite_part():
@@ -473,7 +479,7 @@ def _skel_resolvable(space: SkeletonSpace) -> bool:
     from topolab.skeleton import sym_complement
 
     for t, flags in classified_templates(space):
-        if flags.dense and sym_classify(space, sym_complement(space, t)).dense:
+        if flags.dense and template_flags(space, sym_complement(space, t)).dense:
             return True
     return False
 
@@ -555,6 +561,8 @@ def _skel_p_regularity(space: SkeletonSpace, kind: str) -> bool:
 
 
 def _skel_simple(space: SkeletonSpace, name: str) -> bool:
+    if space.finite:
+        return _finite_simple(expand(space)[0], name)
     if name == "t0":
         probe = finite_probe(space, 3)
         fs, _ = expand(probe)
@@ -579,7 +587,7 @@ def _skel_simple(space: SkeletonSpace, name: str) -> bool:
         return not _skel_simple(space, "hyperconnected")
     if name == "extremally-disconnected":
         return all(
-            sym_classify(space, sym_operator(space, "cl", t)).open
+            template_flags(space, _sym_saturate(space, "cl", t)).open
             for t, flags in classified_templates(space)
             if flags.open
         )
@@ -613,23 +621,18 @@ def _boundary_has_inf(space, t: SymbolicSet) -> bool:
     return False
 
 
-_SIMPLE_CACHE: dict = {}
+_SIMPLE_CACHE: dict = {}  # finite spaces only; skeletons use their memo
 
 
 def check_simple(space, name: str) -> bool:
     """Evaluate a simple property on a finite space or a skeleton."""
     if name not in SIMPLE_PROPERTIES:
         raise ValueError(f"unknown simple property {name!r}")
+    if isinstance(space, SkeletonSpace):
+        return space.recall(("simple", name), lambda: _skel_simple(space, name))
     key = (space, name)
     if key not in _SIMPLE_CACHE:
-        if isinstance(space, FiniteSpace):
-            value = _finite_simple(space, name)
-        elif space.finite:
-            fs, _ = expand(space)
-            value = _finite_simple(fs, name)
-        else:
-            value = _skel_simple(space, name)
-        _SIMPLE_CACHE[key] = value
+        _SIMPLE_CACHE[key] = _finite_simple(space, name)
     return _SIMPLE_CACHE[key]
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from topolab.core import FiniteSpace, _canon, bits, ClassFlags
 
@@ -342,6 +342,26 @@ class SkeletonSpace:
     @property
     def finite(self) -> bool:
         return all(not nd.is_omega for nd in self.nodes)
+
+    @cached_property
+    def memo(self) -> dict:
+        """The symbolic deciders' results on this space, keyed by a tag and
+        template counts (not by a SymbolicSet, whose hash walks the space)."""
+        return {}
+
+    def recall(self, key, compute):
+        """``compute()``, memoized under ``key``; a SymbolicIncomplete or
+        SymbolicAmbiguity is memoized too and raised again on each lookup."""
+        memo = self.memo
+        if key not in memo:
+            try:
+                memo[key] = compute()
+            except (SymbolicIncomplete, SymbolicAmbiguity) as exc:
+                memo[key] = exc
+        value = memo[key]
+        if isinstance(value, Exception):
+            raise value.with_traceback(None)
+        return value
 
     def __str__(self):
         parts = []
@@ -1271,7 +1291,9 @@ def restrict(space: SkeletonSpace, a: SymbolicSet, fin_as: int = 2) -> SkeletonS
                 for f_new, f in enumerate(elems_j):
                     if cross[(i, e), (j, f)]:
                         rels.add(((x, e_new), (y, f_new)))
-    return SkeletonSpace(tuple(sub_nodes), frozenset(rels))
+    sub = SkeletonSpace(tuple(sub_nodes), frozenset(rels))
+    # equal subspaces share one object, and so one memo, while the parent lives
+    return space.memo.setdefault(("restrict", sub), sub)
 
 
 def finite_probe(space: SkeletonSpace, omega_size: int = 6) -> SkeletonSpace:
@@ -1319,9 +1341,6 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-_TEMPLATE_CACHE: dict = {}
-
-
 def all_symbolic_sets(space: SkeletonSpace, cap: int = 200_000) -> tuple:
     """Every symbolic set of the skeleton (the template space).
 
@@ -1329,9 +1348,6 @@ def all_symbolic_sets(space: SkeletonSpace, cap: int = 200_000) -> tuple:
     ZERO/FIN/INF assignments with at least one INF.  Raises
     SkeletonOverflow beyond ``cap`` templates.
     """
-    key = space
-    if key in _TEMPLATE_CACHE:
-        return _TEMPLATE_CACHE[key]
     per_node = []
     total = 1
     for nd in space.nodes:
@@ -1354,11 +1370,9 @@ def all_symbolic_sets(space: SkeletonSpace, cap: int = 200_000) -> tuple:
             raise SkeletonOverflow(
                 f"template space of size >= {total} exceeds cap {cap}"
             )
-    out = tuple(
+    return tuple(
         SymbolicSet(space, combo) for combo in itertools.product(*per_node)
     )
-    _TEMPLATE_CACHE[key] = out
-    return out
 
 
 def random_finite_skeleton(rng, max_nodes: int = 2, max_card: int = 3) -> SkeletonSpace:
@@ -1504,6 +1518,7 @@ class CatalogEntry:
         return {k: (v, prov) for k, v, prov in self.expected}
 
 
+@cache  # one object for every catalog use, so one memo
 def _skel_excluded_point_omega() -> SkeletonSpace:
     return parse_skel(
         "node p card 1 mode antichain block chain1\n"
@@ -1524,6 +1539,7 @@ def _skel_indiscrete_omega() -> SkeletonSpace:
     return parse_skel("node x card omega mode clique block chain1\n")
 
 
+@cache  # shared by two catalog entries
 def _skel_discrete_omega() -> SkeletonSpace:
     return parse_skel("node x card omega mode antichain block chain1\n")
 
@@ -1541,7 +1557,7 @@ _CATALOG_BUILDERS = {}
 
 def _entry(name):
     def deco(fn):
-        _CATALOG_BUILDERS[name] = fn
+        _CATALOG_BUILDERS[name] = cache(fn)  # entries are constants, built once
         return fn
 
     return deco

@@ -224,11 +224,17 @@ class Universe:
         if parts[0] == "catalog" and len(parts) == 1:
             return Universe("catalog")
         if parts[0] == "exhaustive" and len(parts) == 2:
-            return Universe("exhaustive", n=int(parts[1]))
-        if parts[0] == "sampled" and len(parts) == 4:
-            return Universe("sampled", n=int(parts[1]), seed=int(parts[2]),
-                            count=int(parts[3]))
-        raise ValueError(f"bad universe spec {text!r}")
+            universe = Universe("exhaustive", n=int(parts[1]))
+        elif parts[0] == "sampled" and len(parts) == 4:
+            universe = Universe("sampled", n=int(parts[1]), seed=int(parts[2]),
+                                count=int(parts[3]))
+        else:
+            raise ValueError(f"bad universe spec {text!r}")
+        if not 1 <= universe.n <= 5:
+            raise ValueError(f"universe {text!r}: n must be 1..5")
+        if universe.count is not None and universe.count < 0:
+            raise ValueError(f"universe {text!r}: count must not be negative")
+        return universe
 
     def label(self) -> str:
         if self.kind == "exhaustive":
@@ -567,12 +573,12 @@ def _p41():
                 if space.preclosure(a) != space.closure(a):
                     return False
             return True
-        from topolab.properties import _template_from_json
-        from topolab.skeleton import SymbolicIncomplete, sym_classify
+        from topolab.properties import _template_from_json, template_flags
+        from topolab.skeleton import SymbolicIncomplete
 
         t = _template_from_json(space, inst["templates"][0])
         try:
-            flags = sym_classify(space, t)
+            flags = template_flags(space, t)
             if flags.preopen:
                 if sym_operator(space, "pcl-theta", t) != sym_operator(
                         space, "pcl", t):
@@ -1340,8 +1346,8 @@ def run_claim(cid: str, universe: Universe, seed: int = 0,
             if _space_kind(sp) in claim.kinds
         ]
         budget = max(1, -(-samples // max(1, len(members))))
-        jobs = max(1, jobs)
-        if jobs > 1 and len(members) > 1:
+        jobs = max(1, min(jobs, len(members)))
+        if jobs > 1:
             import multiprocessing as mp
 
             with mp.get_context("fork").Pool(jobs) as pool:

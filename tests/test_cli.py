@@ -166,6 +166,31 @@ def test_unknown_claim_rejected(capsys):
     assert "unknown claim" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--claims", "L3", "--universe", "exhaustive:9"),
+    ("verify", "--claims", "L3", "--universe", "sampled:7:1:5"),
+    ("verify", "--claims", "L3", "--universe", "exhaustive:0"),
+    ("hunt", "--target", "tn1-converse", "--universe", "exhaustive:6"),
+])
+def test_out_of_range_universe_exit_three(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error:") and "n must be 1..5" in err
+    assert "Traceback" not in err + out
+
+
+def test_jobs_out_of_range_rejected_before_any_pool(capsys):
+    import os
+
+    # refused by the argument check, so no process is ever started
+    for jobs in ("0", "-2", str((os.cpu_count() or 1) + 1)):
+        code, out, err = run(capsys, "verify", "--claims", "T1",
+                             "--universe", "exhaustive:2", "--jobs", jobs)
+        assert code == 3
+        assert err.startswith("error: --jobs must be")
+        assert out == ""
+
+
 def test_check_unknown_exit_two(capsys):
     code, out, _ = run(capsys, "check", "--space", "catalog:remark-product",
                        "--prop", "alpha-compact")

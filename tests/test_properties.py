@@ -9,16 +9,20 @@ from topolab.properties import (
     check_cover,
     check_cover_relative,
     check_simple,
+    classified_templates,
     diagram_edges,
     smoke_test_witness,
 )
 from topolab.skeleton import (
     FIN,
     INF,
+    SkeletonSpace,
     SymbolicSet,
     catalog,
     empty_set,
+    format_skel,
     full_set,
+    parse_skel,
 )
 
 from conftest import all_spaces
@@ -320,3 +324,117 @@ def test_simple_property_registry():
     assert len(SIMPLE_PROPERTIES) == 14
     for name in SIMPLE_PROPERTIES:
         assert isinstance(check_simple(sierpinski(), name), bool)
+
+
+# -- the per-space memo of the symbolic deciders -------------------------------------
+
+CATALOG_SKELETONS = ("discrete-omega", "e1iii", "excluded-point-omega",
+                     "excluded-point-omega-isolated", "indiscrete-omega",
+                     "remark-product")
+
+
+@pytest.mark.parametrize("name", CATALOG_SKELETONS)
+def test_memoized_relative_verdicts_match_cold_ones(name):
+    warm = catalog(name).space
+    templates = [t for t, _flags in classified_templates(warm)]
+    cold = parse_skel(format_skel(warm))
+    classified_templates(cold)
+    classification = dict(cold.memo)
+    # every cover property, not only p-closed and qhc: saturations of
+    # different operators must never answer for one another
+    for prop in COVER_PROPERTIES:
+        for t in templates:
+            check_cover_relative(warm, t, prop)
+        for t in templates:
+            # everything but the classification is recomputed per verdict
+            cold.memo.clear()
+            cold.memo.update(classification)
+            fresh = check_cover_relative(cold, SymbolicSet(cold, t.counts), prop)
+            memoized = check_cover_relative(warm, t, prop)
+            assert memoized.to_json() == fresh.to_json(), (prop, str(t))
+
+
+def test_raised_saturation_is_memoized_as_unknown(monkeypatch):
+    import topolab.properties as P
+    from topolab.skeleton import SymbolicIncomplete
+
+    space = parse_skel(format_skel(catalog("excluded-point-omega").space))
+    t_class = SymbolicSet.from_names(space, {"t": {(0,): INF}})
+    calls = []
+
+    def incomplete(sp, op, t):
+        calls.append((op, t.counts))
+        raise SymbolicIncomplete("pre-theta search budget exceeded")
+
+    monkeypatch.setattr(P, "sym_operator", incomplete)
+    first = check_cover_relative(space, t_class, "p-closed")
+    assert first.outcome is None
+    assert calls and len(calls) == len(set(calls))
+    with pytest.raises(SymbolicIncomplete):
+        P._sym_saturate(space, "pcl", t_class)
+    monkeypatch.undo()
+    # the stored failure is raised again, never replaced by a definite verdict
+    with pytest.raises(SymbolicIncomplete):
+        P._sym_saturate(space, "pcl", t_class)
+    second = check_cover_relative(space, t_class, "p-closed")
+    assert second.to_json() == first.to_json()
+    fresh = parse_skel(format_skel(space))
+    t_fresh = SymbolicSet(fresh, t_class.counts)
+    assert check_cover_relative(fresh, t_fresh, "p-closed").outcome is False
+
+
+def test_tn2_on_the_catalog_saturates_each_template_once(monkeypatch):
+    from collections import Counter
+
+    import topolab.properties as P
+    from topolab.verify import CATALOG_UNIVERSE, Universe, run_claim
+
+    for name in CATALOG_UNIVERSE:
+        space = catalog(name).space
+        if isinstance(space, SkeletonSpace):
+            space.memo.clear()
+    evaluated = Counter()
+    real = P.sym_operator
+
+    def counting(space, op, t):
+        evaluated[space, op, t.counts] += 1
+        return real(space, op, t)
+
+    monkeypatch.setattr(P, "sym_operator", counting)
+    report = run_claim("TN2", Universe.parse("catalog"))
+    assert report.status == "pass"
+    assert evaluated
+    assert max(evaluated.values()) == 1
+
+
+# finite-side caches kept on purpose: they are keyed by equal FiniteSpace
+# values, which claims rebuild per instance (subspaces, codomains read back
+# from JSON), so a per-object memo would recompute them
+KEPT_MODULE_CACHES = {
+    "topolab.properties._FAMILY_CACHE",
+    "topolab.properties._COVER_CACHE",
+    "topolab.properties._SIMPLE_CACHE",
+    "topolab.verify._TOPOLOGY_CACHE",
+}
+
+
+def test_no_module_level_caches_beyond_the_kept_finite_ones():
+    import importlib
+    import pkgutil
+
+    import topolab
+    import topolab.properties as P
+
+    found = set()
+    for info in pkgutil.iter_modules(topolab.__path__):
+        module = importlib.import_module(f"topolab.{info.name}")
+        for attr, value in vars(module).items():
+            if isinstance(value, dict) and attr.startswith("_") and (
+                    "CACHE" in attr or attr == "_CLASSIFIED"):
+                found.add(f"{module.__name__}.{attr}")
+    assert found == KEPT_MODULE_CACHES
+    epo = catalog("excluded-point-omega").space
+    check_cover(epo, "p-closed")
+    check_simple(epo, "t0")
+    for cache in (P._COVER_CACHE, P._SIMPLE_CACHE, P._FAMILY_CACHE):
+        assert not any(isinstance(key[0], SkeletonSpace) for key in cache)

@@ -13,7 +13,14 @@ import json
 import os
 import sys
 
-from topolab.core import FiniteSpace, TopologyError, mask_of, parse_topo, points_of
+from topolab.core import (
+    MAX_EXPLICIT_POINTS,
+    FiniteSpace,
+    TopologyError,
+    mask_of,
+    parse_topo,
+    points_of,
+)
 from topolab.properties import (
     COVER_PROPERTIES,
     SIMPLE_PROPERTIES,
@@ -78,9 +85,13 @@ def _load_space(path: str):
     try:
         if path.endswith(".skel"):
             return parse_skel(text)
-        return parse_topo(text)
+        space = parse_topo(text)
     except (TopologyError, SkeletonError) as err:
         raise CliError(f"{path}: {err}") from err
+    if space.n > MAX_EXPLICIT_POINTS:
+        raise CliError(f"{path}: {space.n} points exceed the limit of "
+                       f"{MAX_EXPLICIT_POINTS} for explicit spaces")
+    return space
 
 
 def _parse_set(space, text: str) -> int:

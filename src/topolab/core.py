@@ -16,6 +16,11 @@ class TopologyError(ValueError):
     """Malformed space, subset, map or space file."""
 
 
+# the largest carrier the explicit operators take: preopen and cover
+# families scan all 2^n subsets
+MAX_EXPLICIT_POINTS = 16
+
+
 def bits(mask: int):
     """Iterate the set bits of a mask in increasing order."""
     while mask:
@@ -254,6 +259,11 @@ class FiniteSpace:
             for a in range(self.full + 1)
             if a & ~self.closure(self.interior(a)) == 0
         )
+
+    @cached_property
+    def preclosed_masks(self) -> tuple[int, ...]:
+        """Complements of the preopen sets, in increasing mask order."""
+        return tuple(sorted(self.full ^ a for a in self.preopen_masks))
 
     @cached_property
     def _preopen_pcl(self) -> tuple[tuple[int, int], ...]:

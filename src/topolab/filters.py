@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from topolab.core import FiniteSpace, TopologyError, bits
 from topolab.properties import check_cover, check_cover_relative
+
+# seeded draws of antichain-generated bases checked whole per space on
+# carriers of four or more points (smaller carriers enumerate them all)
+SAMPLED_BASES = 256
 
 
 @dataclass(frozen=True)
@@ -56,22 +60,26 @@ class FilterBase:
 
 def pre_theta_converges(fb: FilterBase, x: int) -> bool:
     """Every preopen neighbourhood's preclosure traps some member."""
-    sp = fb.space
-    for v in sp.preopen_at(x):
-        pcl_v = sp.preclosure(v)
-        if not any(f & ~pcl_v == 0 for f in fb.members):
+    xbit = _point_bit(fb.space, x)
+    for v, pcl_v in fb.space._preopen_pcl:
+        if v & xbit and not any(f & ~pcl_v == 0 for f in fb.members):
             return False
     return True
 
 
 def pre_theta_accumulates(fb: FilterBase, x: int) -> bool:
     """Every preopen neighbourhood's preclosure meets every member."""
-    sp = fb.space
-    for v in sp.preopen_at(x):
-        pcl_v = sp.preclosure(v)
-        if any(not (pcl_v & f) for f in fb.members):
+    xbit = _point_bit(fb.space, x)
+    for v, pcl_v in fb.space._preopen_pcl:
+        if v & xbit and any(not (pcl_v & f) for f in fb.members):
             return False
     return True
+
+
+def _point_bit(space: FiniteSpace, x: int) -> int:
+    if not 0 <= x < space.n:
+        raise TopologyError(f"point {x} outside carrier")
+    return 1 << x
 
 
 def maximal_filter_bases(space: FiniteSpace) -> tuple[FilterBase, ...]:
@@ -131,10 +139,28 @@ def is_strictly_finer(fine: FilterBase, coarse: FilterBase) -> bool:
 # -- clause evaluation for the absolute characterization -----------------------
 
 
-def _preclosed_sets(space: FiniteSpace) -> tuple[int, ...]:
-    return tuple(
-        m for m in range(space.full + 1)
-        if space.closure(space.interior(m)) & ~m == 0
+def _clause_c(space: FiniteSpace, s: int, rng: random.Random | None,
+              samples: int) -> bool:
+    """Clause (c): every filter base meeting ``s`` has a
+    pre-theta-accumulation point in ``s``.
+
+    Accumulation depends only on a base's minimum, and the principal bases
+    cover every minimum, so they decide the clause.  Antichain-generated
+    bases (all of them when n <= 3, else ``samples`` seeded draws when an
+    rng is given) are then evaluated whole, which checks that lemma: with
+    every principal base accumulating, such a base disagrees with its
+    minimum exactly when it does not accumulate itself."""
+    points = tuple(bits(s))
+    bases = [fb for fb in principal_filter_bases(space) if fb.meets(s)]
+    if space.n <= 3:
+        extra = antichain_filter_bases(space)
+    elif rng is not None:
+        extra = antichain_filter_bases(space, rng, samples)
+    else:
+        extra = ()
+    return all(
+        any(pre_theta_accumulates(fb, x) for x in points)
+        for fb in chain(bases, (fb for fb in extra if fb.meets(s)))
     )
 
 
@@ -160,36 +186,20 @@ def _families_ok(space: FiniteSpace, sets: tuple[int, ...], target: int) -> bool
 
 
 def check_t41(space: FiniteSpace, rng: random.Random | None = None,
-              samples: int = 2000) -> tuple[bool, bool, bool, bool]:
+              samples: int = SAMPLED_BASES) -> tuple[bool, bool, bool, bool]:
     """The four equivalent faces of p-closedness, each computed honestly."""
     a = check_cover(space, "p-closed").outcome is True
     b = all(
         any(pre_theta_converges(fb, x) for x in range(space.n))
         for fb in maximal_filter_bases(space)
     )
-    bases = list(principal_filter_bases(space))
-    if space.n <= 3:
-        bases.extend(antichain_filter_bases(space))
-    elif rng is not None:
-        bases.extend(antichain_filter_bases(space, rng, samples))
-    # accumulation depends only on the minimum member; memoize on it
-    memo = {}
-    c = True
-    for fb in bases:
-        m = fb.minimum()
-        if m not in memo:
-            memo[m] = any(
-                pre_theta_accumulates(fb, x) for x in range(space.n)
-            )
-        if not memo[m]:
-            c = False
-            break
-    d = _families_ok(space, _preclosed_sets(space), space.full)
+    c = _clause_c(space, space.full, rng, samples)
+    d = _families_ok(space, space.preclosed_masks, space.full)
     return a, b, c, d
 
 
 def check_t43(space: FiniteSpace, s: int, rng: random.Random | None = None,
-              samples: int = 2000) -> tuple[bool, bool, bool, bool]:
+              samples: int = SAMPLED_BASES) -> tuple[bool, bool, bool, bool]:
     """Relative analogs of the four clauses for a distinguished subset."""
     space.check_fits(s)
     a = check_cover_relative(space, s, "p-closed").outcome is True
@@ -198,21 +208,6 @@ def check_t43(space: FiniteSpace, s: int, rng: random.Random | None = None,
         for fb in maximal_filter_bases(space)
         if fb.meets(s)
     )
-    bases = [fb for fb in principal_filter_bases(space) if fb.meets(s)]
-    if space.n <= 3:
-        bases.extend(fb for fb in antichain_filter_bases(space) if fb.meets(s))
-    elif rng is not None:
-        bases.extend(
-            fb for fb in antichain_filter_bases(space, rng, samples) if fb.meets(s)
-        )
-    memo = {}
-    c = True
-    for fb in bases:
-        m = fb.minimum()
-        if m not in memo:
-            memo[m] = any(pre_theta_accumulates(fb, x) for x in bits(s))
-        if not memo[m]:
-            c = False
-            break
-    d = _families_ok(space, _preclosed_sets(space), s)
+    c = _clause_c(space, s, rng, samples)
+    d = _families_ok(space, space.preclosed_masks, s)
     return a, b, c, d

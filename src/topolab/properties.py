@@ -340,14 +340,21 @@ def _check_relative_uncached(space: SkeletonSpace, s: SymbolicSet,
 
 
 def _template_from_json(space: SkeletonSpace, tjson: dict) -> SymbolicSet:
-    spec = {}
-    for nname, pats in tjson.items():
-        spec[nname] = {
-            (tuple(int(tok[1:]) for tok in pat.split(",")) if pat != "-" else ()):
-            card
-            for pat, card in pats.items()
-        }
-    return SymbolicSet.from_names(space, spec)
+    """The template a claim instance names, parsed once per skeleton: claims
+    over template pairs name each template thousands of times."""
+    key = tuple((nname, tuple(pats.items())) for nname, pats in tjson.items())
+
+    def parse():
+        spec = {}
+        for nname, pats in tjson.items():
+            spec[nname] = {
+                (tuple(int(tok[1:]) for tok in pat.split(","))
+                 if pat != "-" else ()): card
+                for pat, card in pats.items()
+            }
+        return SymbolicSet.from_names(space, spec)
+
+    return space.recall(("json", key), parse)
 
 
 def smoke_test_witness(space: SkeletonSpace, cp: CoverProperty, witness: dict,

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from topolab.core import FiniteSpace, _canon, bits, ClassFlags
+from topolab.core import MAX_EXPLICIT_POINTS, FiniteSpace, _canon, bits, ClassFlags
 
 FIN = "fin"
 INF = "inf"
@@ -1021,7 +1021,7 @@ def expand(space: SkeletonSpace) -> tuple[FiniteSpace, tuple]:
             for e in range(nd.size):
                 labels.append((i, c, e))
     n = len(labels)
-    if n > 16:
+    if n > MAX_EXPLICIT_POINTS:
         raise SkeletonOverflow("expansion too large")
     same, cross = space._tables
 

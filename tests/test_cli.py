@@ -191,6 +191,21 @@ def test_jobs_out_of_range_rejected_before_any_pool(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("ops", "--set", "0"),
+    ("classify", "--set", "0"),
+    ("check", "--prop", "p-closed"),
+    ("relative", "--set", "0", "--prop", "p-closed"),
+])
+def test_oversized_finite_space_exit_three(capsys, tmp_path, argv):
+    big = tmp_path / "big.topo"
+    big.write_text("points 17\nopen 0\n")
+    code, out, err = run(capsys, argv[0], "--space", str(big), *argv[1:])
+    assert code == 3
+    assert err.startswith("error:") and "limit of 16" in err
+    assert out == ""
+
+
 def test_check_unknown_exit_two(capsys):
     code, out, _ = run(capsys, "check", "--space", "catalog:remark-product",
                        "--prop", "alpha-compact")

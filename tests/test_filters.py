@@ -6,6 +6,7 @@ import pytest
 
 from topolab.core import TopologyError, build_space, discrete
 from topolab.filters import (
+    SAMPLED_BASES,
     FilterBase,
     antichain_filter_bases,
     check_t41,
@@ -105,3 +106,55 @@ def test_t41_with_sampling_seeded():
     sp = build_space(4, [0b0001, 0b0010])
     rng = random.Random(11)
     assert check_t41(sp, rng, samples=500) == (True, True, True, True)
+
+
+def test_planted_accumulation_fault_turns_clause_c_false(monkeypatch):
+    import topolab.filters as F
+    from topolab.verify import Universe, replay, run_claim
+
+    # bases with more than one member never accumulate, so they disagree
+    # with their (principal) minimum
+    real = F.pre_theta_accumulates
+    monkeypatch.setattr(F, "pre_theta_accumulates",
+                        lambda fb, x: len(fb.members) == 1 and real(fb, x))
+    d3 = discrete(3)
+    sp = build_space(4, [0b0001, 0b0010])
+    assert check_t41(d3)[2] is False
+    assert check_t41(sp, random.Random(1))[2] is False
+    assert check_t43(d3, d3.full)[2] is False
+    assert check_t43(sp, 0b0111, random.Random(1), samples=30)[2] is False
+    report = run_claim("T41", Universe("explicit", explicit=(("x", sp),)))
+    assert report.status == "fail"
+    assert report.violations[0]["instance"] == {"samples": SAMPLED_BASES}
+    assert replay(report.violations[0], "T41") is False
+
+
+def test_t41_claim_draws_at_most_the_bound_of_antichain_bases(monkeypatch):
+    import topolab.filters as F
+    from topolab.verify import Universe, run_claim
+
+    real = F.antichain_filter_bases
+    yielded = []
+
+    def counting(*args, **kwargs):
+        for fb in real(*args, **kwargs):
+            yielded.append(fb)
+            yield fb
+
+    monkeypatch.setattr(F, "antichain_filter_bases", counting)
+    sp = build_space(4, [0b0001, 0b0010])
+    report = run_claim("T41", Universe("explicit", explicit=(("x", sp),)))
+    assert report.status == "pass"
+    assert 0 < len(yielded) <= SAMPLED_BASES
+
+
+def test_t41_equivalence_audit_four_points():
+    from topolab.verify import homeomorphism_classes
+
+    spaces = all_spaces(4)
+    classes = homeomorphism_classes(spaces)
+    assert len(classes) == 33
+    for cls in classes:
+        sp = spaces[cls[0]]
+        a, b, c, d = check_t41(sp, random.Random(f"t41|{sp.opens}"))
+        assert a == b == c == d

@@ -383,7 +383,9 @@ def test_raised_saturation_is_memoized_as_unknown(monkeypatch):
     assert check_cover_relative(fresh, t_fresh, "p-closed").outcome is False
 
 
-def test_tn2_on_the_catalog_saturates_each_template_once(monkeypatch):
+def _saturations_per_key(monkeypatch, cid):
+    """Run ``cid`` on the catalog from cold memos and count how often each
+    (space, op, template) is saturated."""
     from collections import Counter
 
     import topolab.properties as P
@@ -401,9 +403,20 @@ def test_tn2_on_the_catalog_saturates_each_template_once(monkeypatch):
         return real(space, op, t)
 
     monkeypatch.setattr(P, "sym_operator", counting)
-    report = run_claim("TN2", Universe.parse("catalog"))
+    report = run_claim(cid, Universe.parse("catalog"))
     assert report.status == "pass"
+    return evaluated
+
+
+def test_tn2_on_the_catalog_saturates_each_template_once(monkeypatch):
+    evaluated = _saturations_per_key(monkeypatch, "TN2")
     assert evaluated
+    assert max(evaluated.values()) == 1
+
+
+def test_p41_on_the_catalog_saturates_each_template_once(monkeypatch):
+    evaluated = _saturations_per_key(monkeypatch, "P41")
+    assert {op for _sp, op, _counts in evaluated} >= {"pcl-theta", "pcl", "cl"}
     assert max(evaluated.values()) == 1
 
 

@@ -224,9 +224,9 @@ def _cmd_enumerate(args) -> int:
     n = args.n
     if not 1 <= n <= 5:
         raise CliError("enumerate supports 1 <= n <= 5")
+    if args.method in ("family", "both") and n > 4:
+        raise CliError(f"method '{args.method}' scans families only for n <= 4")
     if args.method == "both":
-        if n > 4:
-            raise CliError("method 'both' cross-checks only n <= 4")
         fam = topologies_by_family_scan(n)
         pre = topologies_by_preorder(n)
         agree = fam == pre
@@ -234,8 +234,7 @@ def _cmd_enumerate(args) -> int:
         print(f"preorder: {len(pre)}")
         print(f"agree: {str(agree).lower()}")
         return 0 if agree else 1
-    spaces = (topologies_by_family_scan(n) if args.method == "family" and n <= 4
-              else topologies_by_preorder(n) if args.method == "preorder"
+    spaces = (topologies_by_family_scan(n) if args.method == "family"
               else all_topologies(n))
     if args.count:
         print(len(spaces))

@@ -1037,19 +1037,9 @@ def expand(space: SkeletonSpace) -> tuple[FiniteSpace, tuple]:
             if leq(x, y):
                 m |= 1 << y
         ups.append(m)
-    opens = []
-    for m in range(1 << n):
-        ok = True
-        probe = m
-        while probe:
-            low = probe & -probe
-            x = low.bit_length() - 1
-            if ups[x] & ~m:
-                ok = False
-                break
-            probe ^= low
-        if ok:
-            opens.append(m)
+    opens = {0}  # the up-sets are the unions of up-set rows
+    for row in ups:
+        opens |= {o | row for o in opens}
     return FiniteSpace(n, _canon(opens)), tuple(labels)
 
 

@@ -72,46 +72,41 @@ def topologies_by_family_scan(n: int) -> tuple[FiniteSpace, ...]:
     return tuple(out)
 
 
+def _one_point_extensions(level, k: int):
+    """The opens of every extension of each topology on k points in
+    ``level`` (given by its opens) by a new point k.
+
+    The new point picks the points above it (an open set U of the parent)
+    and the points below it (a closed set D), with U inside the minimal
+    neighbourhood of every point of D so the relation stays transitive.
+    The opens of the extension are the parent's opens missing D, plus
+    O | {k} for each parent open O containing U.
+    """
+    full, new = (1 << k) - 1, 1 << k
+    for opens in level:
+        nbhd = [full] * k
+        for o in opens:
+            for x in bits(o):
+                nbhd[x] &= o
+        for down in (full ^ o for o in opens):
+            cap = full
+            for x in bits(down):
+                cap &= nbhd[x]
+            apart = tuple(o for o in opens if not o & down)
+            for up in opens:
+                if not up & ~cap:
+                    yield apart + tuple(o | new for o in opens if not up & ~o)
+
+
 def topologies_by_preorder(n: int) -> tuple[FiniteSpace, ...]:
-    """Enumerate reflexive transitive relations; opens are their up-sets."""
+    """Grow every preorder one point at a time; opens are its up-sets."""
     if not 1 <= n <= 5:
         raise ValueError("preorder enumeration supported for 1 <= n <= 5")
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    spaces = []
-    for pick in range(1 << len(offdiag)):
-        up = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(offdiag):
-            if pick >> k & 1:
-                up[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            row = up[i]
-            probe = row
-            while probe:
-                low = probe & -probe
-                j = low.bit_length() - 1
-                if up[j] & ~row:
-                    ok = False
-                    break
-                probe ^= low
-            if not ok:
-                break
-        if ok:
-            full = (1 << n) - 1
-            opens = []
-            for m in range(full + 1):
-                good = True
-                probe = m
-                while probe:
-                    low = probe & -probe
-                    x = low.bit_length() - 1
-                    if up[x] & ~m:
-                        good = False
-                        break
-                    probe ^= low
-                if good:
-                    opens.append(m)
-            spaces.append(FiniteSpace(n, tuple(opens)))
+    level = [(0,)]  # the one topology on the empty carrier
+    for k in range(n - 1):
+        level = list(_one_point_extensions(level, k))
+    spaces = [FiniteSpace(n, opens)
+              for opens in _one_point_extensions(level, n - 1)]
     spaces.sort(key=lambda sp: sp.opens)
     return tuple(spaces)
 
@@ -124,9 +119,7 @@ def all_topologies(n: int) -> tuple[FiniteSpace, ...]:
     if not 1 <= n <= 5:
         raise ValueError("all_topologies supports 1 <= n <= 5")
     if n not in _TOPOLOGY_CACHE:
-        _TOPOLOGY_CACHE[n] = (
-            topologies_by_family_scan(n) if n <= 4 else topologies_by_preorder(n)
-        )
+        _TOPOLOGY_CACHE[n] = topologies_by_preorder(n)
     return _TOPOLOGY_CACHE[n]
 
 

@@ -91,6 +91,15 @@ def test_enumerate_both_methods(capsys):
     assert "agree: true" in out
 
 
+@pytest.mark.parametrize("method", ["family", "both"])
+def test_family_scan_beyond_four_points_exit_three(capsys, method):
+    code, out, err = run(capsys, "enumerate", "--n", "5", "--count",
+                         "--method", method)
+    assert code == 3
+    assert err.startswith("error:") and "n <= 4" in err
+    assert out == ""
+
+
 def test_verify_json_roundtrip(capsys, tmp_path):
     out_path = tmp_path / "out.json"
     code, out, _ = run(capsys, "verify", "--claims", "T1,T2,T3",

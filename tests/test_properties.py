@@ -2,7 +2,7 @@
 
 import pytest
 
-from topolab.core import build_space, discrete, indiscrete, sierpinski
+from topolab.core import build_space, discrete, indiscrete, points_of, sierpinski
 from topolab.properties import (
     COVER_PROPERTIES,
     SIMPLE_PROPERTIES,
@@ -68,6 +68,42 @@ def test_finite_relative_always_true(s2):
     for s in range(4):
         for name in COVER_PROPERTIES:
             assert check_cover_relative(s2, s, name).outcome is True
+
+
+def _greedy_certificate(sp, cp, target):
+    """Reference: the greedy saturated subcover the finite certificate was
+    first built with, over the cover class scanned from all subsets."""
+    from topolab.properties import _CLASS_FLAG, _finite_saturate
+
+    flag = _CLASS_FLAG[cp.cover_class]
+    family = [a for a in range(sp.full + 1) if getattr(sp.classify(a), flag)]
+    chosen, covered = [], 0
+    while covered & target != target:
+        best, best_gain = None, -1
+        for v in family:
+            gain = bin(_finite_saturate(sp, cp.saturation, v)
+                       & target & ~covered).count("1")
+            if gain > best_gain:
+                best, best_gain = v, gain
+        assert best_gain > 0
+        chosen.append(best)
+        covered |= _finite_saturate(sp, cp.saturation, best)
+    return {
+        "kind": "finite",
+        "family_size": len(family),
+        "subcover": [list(points_of(v)) for v in chosen],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_finite_certificates_equal_the_greedy_subcover(n):
+    for sp in all_spaces(n):
+        for cp in COVER_PROPERTIES.values():
+            assert check_cover(sp, cp).certificate == _greedy_certificate(
+                sp, cp, sp.full)
+            for target in range(1, sp.full + 1):
+                assert check_cover_relative(sp, target, cp).certificate == (
+                    _greedy_certificate(sp, cp, target))
 
 
 # -- catalog skeleton verdicts (each value derived by hand) -------------------------

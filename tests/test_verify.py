@@ -38,6 +38,38 @@ def test_two_methods_agree(n):
     assert fam == pre
 
 
+def test_five_point_preorder_enumeration_is_complete():
+    # 6942 pairwise distinct valid topologies is all of them (OEIS A000798),
+    # with no family scan to compare against
+    from itertools import permutations
+
+    from topolab.core import FiniteSpace
+
+    spaces = topologies_by_preorder(5)
+    assert len(spaces) == 6942 == len(set(spaces))
+    for sp in spaces:
+        assert FiniteSpace(5, sp.opens) == sp
+    members = {frozenset(sp.opens) for sp in spaces}
+    for perm in permutations(range(5)):
+        image = [sum(1 << perm[x] for x in range(5) if m >> x & 1)
+                 for m in range(32)]
+        for opens in members:
+            assert frozenset(image[o] for o in opens) in members
+
+
+def test_five_point_spaces_are_their_preorders_up_sets():
+    for sp in topologies_by_preorder(5):
+        up = sp.min_nbhd
+        for x in range(5):
+            assert up[x] >> x & 1
+            for y in range(5):
+                if up[x] >> y & 1:
+                    assert not up[y] & ~up[x]
+        up_sets = tuple(m for m in range(32)
+                        if all(not up[x] & ~m for x in range(5) if m >> x & 1))
+        assert set(up_sets) == set(sp.opens)
+
+
 def test_all_topologies_range():
     with pytest.raises(ValueError):
         all_topologies(0)

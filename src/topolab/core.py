@@ -132,12 +132,15 @@ class FiniteSpace:
                         f"not closed under intersection: {points_of(a)} & {points_of(b)}"
                     )
         object.__setattr__(self, "opens", _canon(self.opens))
+        object.__setattr__(self, "full", full)
+        # dict lookups keyed by a space (classify, cover families, verdicts)
+        # would otherwise rehash every open set each time
+        object.__setattr__(self, "_hash", hash((self.n, self.opens)))
+
+    def __hash__(self):
+        return self._hash
 
     # -- basic structure ------------------------------------------------
-
-    @property
-    def full(self) -> int:
-        return (1 << self.n) - 1
 
     @cached_property
     def _open_set(self) -> frozenset:
@@ -167,17 +170,27 @@ class FiniteSpace:
 
     # -- primitive operators --------------------------------------------
 
+    # the opens are the up-sets of the specialization preorder, so a point
+    # is interior to ``a`` iff its minimal neighbourhood lies in ``a``, and
+    # in the closure of ``a`` iff its minimal neighbourhood meets ``a``
+
     def interior(self, a: int) -> int:
-        self.check_fits(a)
+        if a & ~self.full:
+            self.check_fits(a)
         m = 0
-        for o in self.opens:
-            if o & ~a == 0:
-                m |= o
+        for x, u in enumerate(self.min_nbhd):
+            if not u & ~a:
+                m |= 1 << x
         return m
 
     def closure(self, a: int) -> int:
-        self.check_fits(a)
-        return self.full ^ self.interior(self.full ^ a)
+        if a & ~self.full:
+            self.check_fits(a)
+        m = 0
+        for x, u in enumerate(self.min_nbhd):
+            if u & a:
+                m |= 1 << x
+        return m
 
     def consolidation(self, a: int) -> int:
         """int(cl(a)): the largest open set a dense-ish set fills."""
@@ -331,8 +344,18 @@ class FiniteSpace:
 
     # -- derived spaces ------------------------------------------------------
 
+    @cached_property
+    def _subspaces(self) -> dict:
+        return {}
+
     def subspace(self, a: int) -> tuple["FiniteSpace", tuple[int, ...]]:
-        """Relative topology on ``a``, plus the old labels of the new points."""
+        """Relative topology on ``a``, plus the old labels of the new points.
+
+        Kept per parent, so equal subspaces of one space are one object
+        whose caches stay warm."""
+        got = self._subspaces.get(a)
+        if got is not None:
+            return got
         self.check_fits(a)
         if a == 0:
             raise TopologyError("empty subspace rejected")
@@ -344,7 +367,8 @@ class FiniteSpace:
             for p in bits(o & a):
                 m |= 1 << index[p]
             traced.add(m)
-        return FiniteSpace(len(pts), _canon(traced)), pts
+        got = self._subspaces[a] = FiniteSpace(len(pts), _canon(traced)), pts
+        return got
 
     def __str__(self):
         sets = ",".join("{" + " ".join(map(str, points_of(o))) + "}" for o in self.opens)
@@ -424,9 +448,6 @@ class SpaceMap:
             if b >> q & 1:
                 m |= 1 << p
         return m
-
-    def is_surjective(self) -> bool:
-        return self.image(self.domain.full) == self.codomain.full
 
 
 def map_classify(f: SpaceMap) -> MapFlags:

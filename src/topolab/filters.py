@@ -166,23 +166,17 @@ def _clause_c(space: FiniteSpace, s: int, rng: random.Random | None,
 
 def _families_ok(space: FiniteSpace, sets: tuple[int, ...], target: int) -> bool:
     """Over every subfamily whose intersection misses ``target``: some
-    (finite) subfamily's preinterior intersection misses it too.  DFS with
-    pruning: once the preinterior intersection is inside the complement,
-    every extension stays admissible."""
-    pints = {m: space.preinterior(m) for m in sets}
-    full = space.full
+    (finite) subfamily's preinterior intersection misses it too.
 
-    def dfs(idx, inter, pinter):
-        if pinter & target == 0:
-            return True  # subfamily already witnesses the conclusion
-        if idx == len(sets):
-            return bool(inter & target)  # vacuous unless intersection misses
-        m = sets[idx]
-        if not dfs(idx + 1, inter, pinter):
-            return False
-        return dfs(idx + 1, inter & m, pinter & pints[m])
-
-    return dfs(0, full, full)
+    One pass per set over the distinct (intersection, preinterior
+    intersection) pairs of the subfamilies so far, both cut to ``target``.
+    A pair whose preinterior part is empty witnesses the conclusion for
+    every extension, so it is dropped."""
+    states = {(target, target)} if target else set()
+    for m in sets:
+        pm = space.preinterior(m)
+        states |= {(i & m, p & pm) for i, p in states if p & pm}
+    return all(i for i, _p in states)
 
 
 def check_t41(space: FiniteSpace, rng: random.Random | None = None,

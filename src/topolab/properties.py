@@ -16,6 +16,7 @@ legal outcome away from the catalog.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from topolab.core import FiniteSpace, bits, points_of
 from topolab.skeleton import (
@@ -150,6 +151,20 @@ def _finite_certificate(space: FiniteSpace, cp: CoverProperty,
         "family_size": len(family),
         "subcover": [list(points_of(member))],
     }
+
+
+class _FiniteRelativeVerdict(Verdict):
+    """True, with the certificate built when first read: claim predicates
+    read only the outcome of finite relative verdicts."""
+
+    def __init__(self, space: FiniteSpace, cp: CoverProperty, target: int):
+        object.__setattr__(self, "outcome", True)
+        object.__setattr__(self, "witness", None)
+        object.__setattr__(self, "_cover", (space, cp, target))
+
+    @cached_property
+    def certificate(self) -> dict:
+        return _finite_certificate(*self._cover)
 
 
 # -- symbolic results, memoized on the space (SkeletonSpace.recall) ------------
@@ -296,7 +311,7 @@ def check_cover_relative(space, subset, prop) -> Verdict:
         space.check_fits(subset)
         if subset == 0:
             return Verdict(True, certificate={"kind": "empty"})
-        return Verdict(True, certificate=_finite_certificate(space, cp, subset))
+        return _FiniteRelativeVerdict(space, cp, subset)
     return space.recall(("relative", cp.name, subset.counts),
                         lambda: _check_relative_uncached(space, subset, cp))
 
@@ -465,10 +480,6 @@ def _finite_simple(space: FiniteSpace, name: str) -> bool:
                     return False
         return True
     raise ValueError(f"unknown simple property {name!r}")
-
-
-def _skel_dense(space, t, flags):
-    return flags.dense
 
 
 def _skel_resolvable(space: SkeletonSpace) -> bool:

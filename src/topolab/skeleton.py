@@ -556,11 +556,6 @@ class Config:
 
     # -- primitive ops --
 
-    def op_const_empty(self) -> int:
-        return self.append_patterns(
-            [[0 for _ in node_groups] for node_groups in self.groups]
-        )
-
     def op_not(self, slot: int) -> int:
         out = []
         for i, node_groups in enumerate(self.groups):

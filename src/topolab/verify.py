@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from topolab import filters as flt
 from topolab.core import (
@@ -270,11 +271,24 @@ def space_to_json(space) -> dict:
 
 
 def space_from_json(data) -> FiniteSpace | SkeletonSpace:
+    """The space a JSON record names; equal JSON gives one object."""
     if data["kind"] == "finite":
-        return FiniteSpace(
-            data["n"], tuple(mask_of(pts, data["n"]) for pts in data["opens"])
-        )
-    return parse_skel(data["skel"])
+        n = data["n"]
+        return _parsed_space((n, tuple(mask_of(pts, n) for pts in data["opens"])))
+    return _parsed_space(data["skel"])
+
+
+# claims name about a thousand instances over a few dozen codomains, and the
+# replays of one claim's violations share a space, so its memo stays warm
+PARSED_SPACES = 256
+
+
+@lru_cache(maxsize=PARSED_SPACES)
+def _parsed_space(key) -> FiniteSpace | SkeletonSpace:
+    """A finite space by ``(n, opens)``, a skeleton by its text."""
+    if isinstance(key, str):
+        return parse_skel(key)
+    return FiniteSpace(*key)
 
 
 @dataclass
@@ -378,15 +392,6 @@ def _claim(cid, description, kinds, expected_status="theorem"):
 
 def _whole_space_gen(space, ctx):
     yield {}
-
-
-def _verdicts_imply(hypos, concl):
-    h = _bool3_and(*hypos)
-    if h is False:
-        return True
-    if h is None:
-        return None
-    return concl() if callable(concl) else concl
 
 
 # T1: QHC and strongly irresolvable imply p-closed

@@ -89,6 +89,41 @@ def test_consolidation_examples(s2):
             assert sp.consolidation(0) == 0
 
 
+def _interior_by_scan(sp, a):
+    """The union of the open sets inside ``a``, read off the open list."""
+    m = 0
+    for o in sp.opens:
+        if o & ~a == 0:
+            m |= o
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_operators_from_up_set_rows_match_the_open_list_scan(n):
+    for sp in all_spaces(n):
+        for a in range(sp.full + 1):
+            assert sp.interior(a) == _interior_by_scan(sp, a)
+            assert sp.closure(a) == sp.full ^ _interior_by_scan(sp, sp.full ^ a)
+
+
+def test_operators_reject_masks_outside_the_carrier(s2):
+    for bad in (-1, s2.full + 1):
+        for op in (s2.interior, s2.closure):
+            with pytest.raises(TopologyError):
+                op(bad)
+
+
+def test_hash_is_computed_once_and_survives_pickling():
+    import pickle
+
+    for sp in all_spaces(3):
+        assert hash(sp) == hash((sp.n, sp.opens))
+        sp.classify(sp.full)  # travel with a warm cache, as --jobs does
+        back = pickle.loads(pickle.dumps(sp))
+        assert back == sp and hash(back) == hash(sp)
+        assert {sp: 1}[back] == 1
+
+
 def test_closure_is_smallest_closed_superset():
     for sp in all_spaces(3):
         for a in range(sp.full + 1):
@@ -278,6 +313,18 @@ def test_subspace_examples(s2):
 def test_subspace_rejects_empty(s2):
     with pytest.raises(TopologyError):
         s2.subspace(0)
+    with pytest.raises(TopologyError):
+        s2.subspace(0b100)
+    assert not s2._subspaces  # a failed call stores nothing
+
+
+def test_subspace_is_kept_on_its_parent():
+    for sp in all_spaces(3):
+        for a in range(1, sp.full + 1):
+            sub, relabel = sp.subspace(a)
+            assert sp.subspace(a)[0] is sub
+            fresh = core.FiniteSpace(sp.n, sp.opens)
+            assert fresh.subspace(a) == (sub, relabel)
 
 
 def test_product_examples(s2, i2):

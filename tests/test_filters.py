@@ -158,3 +158,33 @@ def test_t41_equivalence_audit_four_points():
         sp = spaces[cls[0]]
         a, b, c, d = check_t41(sp, random.Random(f"t41|{sp.opens}"))
         assert a == b == c == d
+
+
+def _families_ok_by_recursion(space, sets, target):
+    """Reference clause (d): depth-first over every subfamily, pruned once
+    the preinterior intersection misses ``target``."""
+    pints = {m: space.preinterior(m) for m in sets}
+    full = space.full
+
+    def dfs(idx, inter, pinter):
+        if pinter & target == 0:
+            return True  # subfamily already witnesses the conclusion
+        if idx == len(sets):
+            return bool(inter & target)  # vacuous unless intersection misses
+        m = sets[idx]
+        if not dfs(idx + 1, inter, pinter):
+            return False
+        return dfs(idx + 1, inter & m, pinter & pints[m])
+
+    return dfs(0, full, full)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_clause_d_matches_the_recursive_reference(n):
+    from topolab.filters import _families_ok
+
+    for sp in all_spaces(n):
+        sets = sp.preclosed_masks
+        for target in range(sp.full + 1):
+            assert _families_ok(sp, sets, target) == _families_ok_by_recursion(
+                sp, sets, target)

@@ -464,6 +464,11 @@ KEPT_MODULE_CACHES = {
     "topolab.properties._COVER_CACHE",
     "topolab.properties._SIMPLE_CACHE",
     "topolab.verify._TOPOLOGY_CACHE",
+    # functools caches: catalog skeletons that entries share, built once,
+    # and parsed spaces interned by their JSON, bounded
+    "topolab.skeleton._skel_excluded_point_omega",
+    "topolab.skeleton._skel_discrete_omega",
+    "topolab.verify._parsed_space",
 }
 
 
@@ -473,6 +478,7 @@ def test_no_module_level_caches_beyond_the_kept_finite_ones():
 
     import topolab
     import topolab.properties as P
+    import topolab.verify as V
 
     found = set()
     for info in pkgutil.iter_modules(topolab.__path__):
@@ -481,7 +487,10 @@ def test_no_module_level_caches_beyond_the_kept_finite_ones():
             if isinstance(value, dict) and attr.startswith("_") and (
                     "CACHE" in attr or attr == "_CLASSIFIED"):
                 found.add(f"{module.__name__}.{attr}")
+            if hasattr(value, "cache_info"):
+                found.add(f"{module.__name__}.{attr}")
     assert found == KEPT_MODULE_CACHES
+    assert V._parsed_space.cache_parameters()["maxsize"] == V.PARSED_SPACES
     epo = catalog("excluded-point-omega").space
     check_cover(epo, "p-closed")
     check_simple(epo, "t0")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from topolab.skeleton import catalog, format_skel
 from topolab.verify import (
     CLAIMS,
     Report,
@@ -15,6 +16,8 @@ from topolab.verify import (
     reversal_report,
     run_claim,
     search_counterexample,
+    space_from_json,
+    space_to_json,
     topologies_by_family_scan,
     topologies_by_preorder,
 )
@@ -174,6 +177,21 @@ def test_remark_claim_records_the_failed_cited_expectation():
     for record in rep.violations:
         assert record["instance"]["fact"] == "preregular-relative"
         assert replay(record, "REMARK") is False
+
+
+def test_equal_json_parses_to_one_space():
+    for sp in all_spaces(3):
+        data = space_to_json(sp)
+        first = space_from_json(data)
+        assert first == sp
+        assert space_from_json(json.loads(json.dumps(data))) is first
+    spaces = [space_from_json(space_to_json(sp)) for sp in all_spaces(2)]
+    assert len({id(sp) for sp in spaces}) == len(spaces)
+    texts = [format_skel(catalog(name).space)
+             for name in ("excluded-point-omega", "e1iii")]
+    skels = [space_from_json({"kind": "skeleton", "skel": t}) for t in texts]
+    assert skels[0] is not skels[1]
+    assert space_from_json({"kind": "skeleton", "skel": texts[0]}) is skels[0]
 
 
 def test_c_topinv_on_exhaustive3():

@@ -3,7 +3,12 @@
 Points are labeled 0..n-1 and subsets are integer bitmasks.  The family of
 open sets is stored explicitly in canonical order (cardinality, then mask
 value), so equality of spaces is structural and spaces hash cheaply during
-enumeration.  All values are immutable and all operations are pure.
+enumeration.  A finite topology is the family of up-sets of its
+specialization preorder, so the builders (``build_space``, ``product``,
+``subspace``) derive each point's up-set row, the smallest open set holding
+it, and pass every union of rows (``up_sets``) to the constructor.  All
+values are immutable and all operations are pure; each space memoizes its
+derived objects in its own ``memo``.
 """
 
 from __future__ import annotations
@@ -44,6 +49,15 @@ def points_of(mask: int) -> tuple[int, ...]:
 
 def _canon(opens) -> tuple[int, ...]:
     return tuple(sorted(set(opens), key=lambda m: (bin(m).count("1"), m)))
+
+
+def up_sets(rows) -> tuple[int, ...]:
+    """Every union of the up-set rows of a preorder, in canonical order: the
+    opens of its topology.  Row x is the set of points above x."""
+    opens = {0}
+    for row in rows:
+        opens |= {o | row for o in opens}
+    return _canon(opens)
 
 
 CLASS_FLAG_NAMES = (
@@ -294,19 +308,26 @@ class FiniteSpace:
                 m |= xbit
         return m
 
-    # -- classification ----------------------------------------------------
+    # -- the memo ------------------------------------------------------------
 
     @cached_property
-    def _classify_cache(self) -> dict:
+    def memo(self) -> dict:
+        """Results computed from this space (class flags, subspaces, cover
+        families and verdicts), keyed by a tag and their arguments."""
         return {}
 
+    def recall(self, key, compute):
+        """``compute()``, memoized under ``key``; nothing is stored when it
+        raises."""
+        memo = self.memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
+    # -- classification ----------------------------------------------------
+
     def classify(self, a: int) -> ClassFlags:
-        cached = self._classify_cache.get(a)
-        if cached is not None:
-            return cached
-        flags = self._classify(a)
-        self._classify_cache[a] = flags
-        return flags
+        return self.recall(("flags", a), lambda: self._classify(a))
 
     def _classify(self, a: int) -> ClassFlags:
         self.check_fits(a)
@@ -344,31 +365,22 @@ class FiniteSpace:
 
     # -- derived spaces ------------------------------------------------------
 
-    @cached_property
-    def _subspaces(self) -> dict:
-        return {}
-
     def subspace(self, a: int) -> tuple["FiniteSpace", tuple[int, ...]]:
         """Relative topology on ``a``, plus the old labels of the new points.
 
-        Kept per parent, so equal subspaces of one space are one object
-        whose caches stay warm."""
-        got = self._subspaces.get(a)
-        if got is not None:
-            return got
+        Kept in the memo, so equal subspaces of one space are one object
+        whose memo stays warm."""
+        return self.recall(("subspace", a), lambda: self._subspace(a))
+
+    def _subspace(self, a: int):
         self.check_fits(a)
         if a == 0:
             raise TopologyError("empty subspace rejected")
         pts = points_of(a)
-        index = {p: i for i, p, in enumerate(pts)}
-        traced = set()
-        for o in self.opens:
-            m = 0
-            for p in bits(o & a):
-                m |= 1 << index[p]
-            traced.add(m)
-        got = self._subspaces[a] = FiniteSpace(len(pts), _canon(traced)), pts
-        return got
+        index = {p: i for i, p in enumerate(pts)}
+        rows = [sum(1 << index[q] for q in bits(self.min_nbhd[p] & a))
+                for p in pts]
+        return FiniteSpace(len(pts), up_sets(rows)), pts
 
     def __str__(self):
         sets = ",".join("{" + " ".join(map(str, points_of(o))) + "}" for o in self.opens)
@@ -376,42 +388,26 @@ class FiniteSpace:
 
 
 def build_space(n: int, generators) -> FiniteSpace:
-    """Smallest topology on ``n`` points containing every generator."""
+    """Smallest topology on ``n`` points containing every generator: the
+    up-set row of a point is the intersection of the generators holding it."""
     if n < 1:
         raise TopologyError("carrier must have at least one point")
     full = (1 << n) - 1
-    fam = {0, full}
+    rows = [full] * n
     for g in generators:
         if g & ~full:
             raise TopologyError(f"generator {g:b} does not fit carrier of size {n}")
-        fam.add(g)
-    while True:
-        new = set()
-        items = tuple(fam)
-        for i, x in enumerate(items):
-            for y in items[i + 1 :]:
-                u, v = x | y, x & y
-                if u not in fam:
-                    new.add(u)
-                if v not in fam:
-                    new.add(v)
-        if not new:
-            break
-        fam |= new
-    return FiniteSpace(n, _canon(fam))
+        for x in bits(g):
+            rows[x] &= g
+    return FiniteSpace(n, up_sets(rows))
 
 
 def product(x: FiniteSpace, y: FiniteSpace) -> FiniteSpace:
-    """Product topology with row-major point order: (p, q) -> p*|Y| + q."""
-    gens = []
-    for u in x.opens:
-        for v in y.opens:
-            m = 0
-            for p in bits(u):
-                for q in bits(v):
-                    m |= 1 << (p * y.n + q)
-            gens.append(m)
-    return build_space(x.n * y.n, gens)
+    """Product topology with row-major point order: (p, q) -> p*|Y| + q.
+    The up-set row of (p, q) is the product of the rows of p and q."""
+    rows = [sum(v << (p * y.n) for p in bits(u))
+            for u in x.min_nbhd for v in y.min_nbhd]
+    return FiniteSpace(x.n * y.n, up_sets(rows))
 
 
 @dataclass(frozen=True)
@@ -474,8 +470,8 @@ def parse_topo(text: str) -> FiniteSpace:
     """Parse the ``.topo`` format: ``points N`` then one ``open ...`` per line.
 
     The empty set and the full carrier may be omitted.  The listed family
-    must already be a topology; violations are diagnosed with the offending
-    pair of sets.
+    must already be a topology; the constructor names the offending pair of
+    sets.
     """
     n = None
     fam = set()
@@ -502,17 +498,7 @@ def parse_topo(text: str) -> FiniteSpace:
             raise TopologyError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:
         raise TopologyError("missing 'points N' line")
-    full = (1 << n) - 1
-    fam |= {0, full}
-    for a in fam:
-        for b in fam:
-            for m, op in ((a | b, "union"), (a & b, "intersection")):
-                if m not in fam:
-                    raise TopologyError(
-                        f"not a topology: {op} of {set(points_of(a))} and "
-                        f"{set(points_of(b))} is missing"
-                    )
-    return FiniteSpace(n, _canon(fam))
+    return FiniteSpace(n, _canon(fam | {0, (1 << n) - 1}))
 
 
 def format_topo(space: FiniteSpace) -> str:

@@ -121,23 +121,15 @@ def _finite_saturate(space: FiniteSpace, sat: str, a: int) -> int:
     raise ValueError(f"unknown saturation {sat!r}")
 
 
-_FAMILY_CACHE: dict = {}
-
-
 def _finite_family(space: FiniteSpace, cp: CoverProperty) -> tuple:
     """(member, saturation) for every admissible cover member, by mask.
     The members are kept per cover class too, which several saturations
     share."""
-    members = (space, cp.cover_class)
-    key = members + (cp.saturation,)
-    if members not in _FAMILY_CACHE:
-        flag = _CLASS_FLAG[cp.cover_class]
-        _FAMILY_CACHE[members] = tuple(
-            a for a in range(space.full + 1) if getattr(space.classify(a), flag))
-    if key not in _FAMILY_CACHE:
-        _FAMILY_CACHE[key] = tuple((a, _finite_saturate(space, cp.saturation, a))
-                                   for a in _FAMILY_CACHE[members])
-    return _FAMILY_CACHE[key]
+    flag = _CLASS_FLAG[cp.cover_class]
+    members = space.recall(("members", cp.cover_class), lambda: tuple(
+        a for a in range(space.full + 1) if getattr(space.classify(a), flag)))
+    return space.recall(("family", cp.cover_class, cp.saturation), lambda: tuple(
+        (a, _finite_saturate(space, cp.saturation, a)) for a in members))
 
 
 def _finite_certificate(space: FiniteSpace, cp: CoverProperty,
@@ -153,9 +145,9 @@ def _finite_certificate(space: FiniteSpace, cp: CoverProperty,
     }
 
 
-class _FiniteRelativeVerdict(Verdict):
+class _FiniteVerdict(Verdict):
     """True, with the certificate built when first read: claim predicates
-    read only the outcome of finite relative verdicts."""
+    read only the outcome of finite verdicts."""
 
     def __init__(self, space: FiniteSpace, cp: CoverProperty, target: int):
         object.__setattr__(self, "outcome", True)
@@ -268,24 +260,16 @@ def _pivot_search(space: SkeletonSpace, cp: CoverProperty, classes):
     return None
 
 
-_COVER_CACHE: dict = {}  # finite spaces only; skeletons use their memo
-
-
 def check_cover(space, prop) -> Verdict:
     """Decide a cover-saturation property; finite spaces are always True."""
     cp = COVER_PROPERTIES[prop] if isinstance(prop, str) else prop
-    if isinstance(space, SkeletonSpace):
-        return space.recall(("cover", cp.name),
-                            lambda: _check_cover_uncached(space, cp))
-    key = (space, cp.name)
-    if key not in _COVER_CACHE:
-        _COVER_CACHE[key] = _check_cover_uncached(space, cp)
-    return _COVER_CACHE[key]
+    return space.recall(("cover", cp.name),
+                        lambda: _check_cover_uncached(space, cp))
 
 
 def _check_cover_uncached(space, cp) -> Verdict:
     if isinstance(space, FiniteSpace):
-        return Verdict(True, certificate=_finite_certificate(space, cp, space.full))
+        return _FiniteVerdict(space, cp, space.full)
     if space.finite:
         fs, _ = expand(space)
         return check_cover(fs, cp)
@@ -311,7 +295,7 @@ def check_cover_relative(space, subset, prop) -> Verdict:
         space.check_fits(subset)
         if subset == 0:
             return Verdict(True, certificate={"kind": "empty"})
-        return _FiniteRelativeVerdict(space, cp, subset)
+        return _FiniteVerdict(space, cp, subset)
     return space.recall(("relative", cp.name, subset.counts),
                         lambda: _check_relative_uncached(space, subset, cp))
 
@@ -628,19 +612,12 @@ def _boundary_has_inf(space, t: SymbolicSet) -> bool:
     return False
 
 
-_SIMPLE_CACHE: dict = {}  # finite spaces only; skeletons use their memo
-
-
 def check_simple(space, name: str) -> bool:
     """Evaluate a simple property on a finite space or a skeleton."""
     if name not in SIMPLE_PROPERTIES:
         raise ValueError(f"unknown simple property {name!r}")
-    if isinstance(space, SkeletonSpace):
-        return space.recall(("simple", name), lambda: _skel_simple(space, name))
-    key = (space, name)
-    if key not in _SIMPLE_CACHE:
-        _SIMPLE_CACHE[key] = _finite_simple(space, name)
-    return _SIMPLE_CACHE[key]
+    decide = _finite_simple if isinstance(space, FiniteSpace) else _skel_simple
+    return space.recall(("simple", name), lambda: decide(space, name))
 
 
 # -- the implication diagram --------------------------------------------------------

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from topolab.core import MAX_EXPLICIT_POINTS, FiniteSpace, _canon, bits, ClassFlags
+from topolab.core import MAX_EXPLICIT_POINTS, FiniteSpace, bits, ClassFlags, up_sets
 
 FIN = "fin"
 INF = "inf"
@@ -1032,10 +1032,7 @@ def expand(space: SkeletonSpace) -> tuple[FiniteSpace, tuple]:
             if leq(x, y):
                 m |= 1 << y
         ups.append(m)
-    opens = {0}  # the up-sets are the unions of up-set rows
-    for row in ups:
-        opens |= {o | row for o in opens}
-    return FiniteSpace(n, _canon(opens)), tuple(labels)
+    return FiniteSpace(n, up_sets(ups)), tuple(labels)
 
 
 def abstract(space: SkeletonSpace, labels, mask: int) -> SymbolicSet:

@@ -158,7 +158,15 @@ def test_parse_error_exit_three(capsys, tmp_path):
     bad.write_text("points 3\nopen 0\nopen 1\n")
     code, _, err = run(capsys, "check", "--space", str(bad), "--prop", "qhc")
     assert code == 3
-    assert "union" in err
+    assert err.startswith("error:") and "union" in err
+
+
+def test_missing_intersection_exit_three(capsys, tmp_path):
+    bad = tmp_path / "bad.topo"
+    bad.write_text("points 3\nopen 0 1\nopen 1 2\n")
+    code, _, err = run(capsys, "check", "--space", str(bad), "--prop", "qhc")
+    assert code == 3
+    assert err.startswith("error:") and "intersection" in err
 
 
 def test_unknown_property_rejected(capsys, sierpinski_file):

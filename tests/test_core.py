@@ -25,6 +25,18 @@ from topolab.core import (
 from conftest import all_spaces
 
 
+def closure_space(n, generators):
+    """The smallest topology containing the generators, by closing the family
+    under pairwise union and intersection until nothing changes: the
+    reference that the up-set row builders are checked against."""
+    fam = {0, (1 << n) - 1} | set(generators)
+    while True:
+        new = {m for x in fam for y in fam for m in (x | y, x & y)} - fam
+        if not new:
+            return core.FiniteSpace(n, tuple(fam))
+        fam |= new
+
+
 # -- build_space ---------------------------------------------------------
 
 
@@ -64,6 +76,7 @@ def test_build_space_is_a_topology_and_idempotent(n, data):
     for g in gens:
         assert sp.is_open(g)
     assert build_space(n, sp.opens) == sp
+    assert sp == closure_space(n, gens)
 
 
 # -- interior / closure / consolidation ----------------------------------
@@ -315,7 +328,7 @@ def test_subspace_rejects_empty(s2):
         s2.subspace(0)
     with pytest.raises(TopologyError):
         s2.subspace(0b100)
-    assert not s2._subspaces  # a failed call stores nothing
+    assert not s2.memo  # a failed call stores nothing
 
 
 def test_subspace_is_kept_on_its_parent():
@@ -325,6 +338,25 @@ def test_subspace_is_kept_on_its_parent():
             assert sp.subspace(a)[0] is sub
             fresh = core.FiniteSpace(sp.n, sp.opens)
             assert fresh.subspace(a) == (sub, relabel)
+
+
+def test_subspace_is_the_trace_of_the_opens():
+    for n in range(1, 5):
+        for sp in all_spaces(n):
+            for a in range(1, sp.full + 1):
+                sub, relabel = sp.subspace(a)
+                traced = {sum(1 << i for i, p in enumerate(relabel) if o >> p & 1)
+                          for o in sp.opens}
+                assert sub == core.FiniteSpace(len(relabel), tuple(traced))
+
+
+def test_product_is_the_topology_of_the_rectangles():
+    for x in all_spaces(1) + all_spaces(2):
+        for y in all_spaces(1) + all_spaces(2) + all_spaces(3):
+            rectangles = [sum(1 << (p * y.n + q) for p in points_of(u)
+                              for q in points_of(v))
+                          for u in x.opens for v in y.opens]
+            assert product(x, y) == closure_space(x.n * y.n, rectangles)
 
 
 def test_product_examples(s2, i2):
@@ -384,6 +416,12 @@ def test_topo_parse_rejects_non_topology():
     with pytest.raises(TopologyError) as err:
         parse_topo(bad)
     assert "union" in str(err.value)
+
+
+def test_topo_parse_names_a_missing_intersection():
+    with pytest.raises(TopologyError) as err:
+        parse_topo("points 3\nopen 0 1\nopen 1 2\n")
+    assert "intersection" in str(err.value)
 
 
 def test_topo_parse_errors():

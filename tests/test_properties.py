@@ -456,13 +456,8 @@ def test_p41_on_the_catalog_saturates_each_template_once(monkeypatch):
     assert max(evaluated.values()) == 1
 
 
-# finite-side caches kept on purpose: they are keyed by equal FiniteSpace
-# values, which claims rebuild per instance (subspaces, codomains read back
-# from JSON), so a per-object memo would recompute them
+# every other result lives in the memo of the space it was computed from
 KEPT_MODULE_CACHES = {
-    "topolab.properties._FAMILY_CACHE",
-    "topolab.properties._COVER_CACHE",
-    "topolab.properties._SIMPLE_CACHE",
     "topolab.verify._TOPOLOGY_CACHE",
     # functools caches: catalog skeletons that entries share, built once,
     # and parsed spaces interned by their JSON, bounded
@@ -477,7 +472,6 @@ def test_no_module_level_caches_beyond_the_kept_finite_ones():
     import pkgutil
 
     import topolab
-    import topolab.properties as P
     import topolab.verify as V
 
     found = set()
@@ -491,8 +485,26 @@ def test_no_module_level_caches_beyond_the_kept_finite_ones():
                 found.add(f"{module.__name__}.{attr}")
     assert found == KEPT_MODULE_CACHES
     assert V._parsed_space.cache_parameters()["maxsize"] == V.PARSED_SPACES
-    epo = catalog("excluded-point-omega").space
-    check_cover(epo, "p-closed")
-    check_simple(epo, "t0")
-    for cache in (P._COVER_CACHE, P._SIMPLE_CACHE, P._FAMILY_CACHE):
-        assert not any(isinstance(key[0], SkeletonSpace) for key in cache)
+    fs = build_space(3, [0b001, 0b011])
+    verdict = check_cover(fs, "p-closed")
+    assert check_cover(fs, "p-closed") is verdict
+    assert ("cover", "p-closed") in fs.memo
+
+
+def test_a_warm_finite_memo_survives_pickling():
+    import json
+    import pickle
+
+    sp = build_space(3, [0b001, 0b011])
+    sp.classify(0b010)
+    sub, _ = sp.subspace(0b110)
+    verdict = check_cover(sp, "p-closed")
+    expected = json.dumps(verdict.to_json())  # fills the cover families too
+    back = pickle.loads(pickle.dumps(sp))  # as a --jobs worker receives it
+    assert back == sp and back.memo.keys() == sp.memo.keys()
+    assert back.classify(0b010) == sp.classify(0b010)
+    assert back.subspace(0b110)[0] == sub
+    again = check_cover(back, "p-closed")
+    assert again is back.memo["cover", "p-closed"]
+    assert again.outcome is verdict.outcome is True
+    assert json.dumps(again.to_json()) == expected

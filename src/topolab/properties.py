@@ -11,26 +11,35 @@ trace only finitely onto some infinite class) proving failure, and a
 pivot search (a class whose every admissible template saturates to the
 whole carrier) proving success.  Neither search is complete; Unknown is a
 legal outcome away from the catalog.
+
+T0, resolvability, strong irresolvability and hyperconnectedness are
+decided from top classes by one rule on both kinds of space: a finite space
+passes its up-set rows, a skeleton the rows of its validation probe (see
+``_top_class_simple``).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 from topolab.core import FiniteSpace, bits, points_of
 from topolab.skeleton import (
     INF,
+    Config,
     SkeletonOverflow,
     SkeletonSpace,
     SymbolicAmbiguity,
     SymbolicIncomplete,
     SymbolicSet,
+    _marked_config,
+    _marked_pattern,
     all_symbolic_sets,
     expand,
     finite_probe,
+    full_set,
     probe_set,
-    restrict,
     sym_classify,
     sym_operator,
 )
@@ -273,18 +282,7 @@ def _check_cover_uncached(space, cp) -> Verdict:
     if space.finite:
         fs, _ = expand(space)
         return check_cover(fs, cp)
-    classes = tuple(_element_classes(space))
-    pis = [(i, e) for (i, e) in classes if space.nodes[i].is_omega]
-    try:
-        witness = _escape_search(space, cp, classes, pis)
-        if witness is not None:
-            return Verdict(False, witness=witness)
-        cert = _pivot_search(space, cp, classes)
-    except (SkeletonOverflow, SymbolicIncomplete, SymbolicAmbiguity):
-        return Verdict(None)
-    if cert is not None:
-        return Verdict(True, certificate=cert)
-    return Verdict(None)
+    return _check_relative_uncached(space, full_set(space), cp)
 
 
 def check_cover_relative(space, subset, prop) -> Verdict:
@@ -405,35 +403,64 @@ def smoke_test_witness(space: SkeletonSpace, cp: CoverProperty, witness: dict,
 # -- simple properties -------------------------------------------------------------
 
 
+_TOP_CLASS_PROPERTIES = ("t0", "resolvable", "strongly-irresolvable",
+                         "hyperconnected")
+_NEGATIONS = {
+    "irresolvable": "resolvable",
+    "hyperdisconnected": "hyperconnected",
+    "predisconnected": "preconnected",
+}
+# the p-regularity trio: the closed sets separated from outside points
+_SEPARATED_CLASS = {
+    "strongly-p-regular": "preclosed",
+    "p-regular": "closed",
+    "almost-p-regular": "regular_closed",
+}
+
+
+def _top_class_simple(rows, name: str) -> bool:
+    """Decide t0, resolvable, strongly irresolvable or hyperconnected from
+    the up-set rows of an Alexandrov space.
+
+    A point x is top when every y >= x has y <= x; its top class [x] = up(x)
+    is then open.  When every nonempty open set contains a top class, a set
+    is dense iff it meets every top class, so the space is resolvable iff
+    every top class has at least 2 points, strongly irresolvable iff every
+    top class is one point (an open top class of 2 or more points is a
+    resolvable open subspace), and hyperconnected iff there is exactly one
+    top class (two would be disjoint nonempty open sets).  T0 means the rows
+    are pairwise distinct.
+
+    A finite space passes its ``min_nbhd``.  A skeleton passes
+    ``probe_rows``, the rows of its validation probe, where omega becomes 3
+    copies and finite cards are capped at 3.  The probe is exact here:
+    - relations are class-uniform, so whether a point is top, and whether
+      two points share a row, depends only on their classes and on whether
+      they are copies of one node, which the probe keeps;
+    - a clique node's top class holds all its copies, and an antichain node
+      gives one top class per copy, so "at least 2 points" and "more than
+      one top class" read the same with 3 copies as with the real number;
+    - every strictly increasing chain changes class, so height is finite and
+      every nonempty open set of the real space contains a top class.
+    """
+    if name == "t0":
+        return len(set(rows)) == len(rows)
+    tops = {r for r in rows if all(rows[y] == r for y in bits(r))}
+    if name == "resolvable":
+        return all(r.bit_count() > 1 for r in tops)
+    if name == "strongly-irresolvable":
+        return all(r.bit_count() == 1 for r in tops)
+    return len(tops) == 1  # hyperconnected
+
+
 def _finite_simple(space: FiniteSpace, name: str) -> bool:
     full = space.full
-    if name == "t0":
-        return len(set(space.min_nbhd)) == space.n
     if name == "submaximal":
         return all(
             space.is_open(a)
             for a in range(full + 1)
             if space.closure(a) == full
         )
-    if name == "resolvable":
-        return any(
-            space.closure(a) == full and space.closure(full ^ a) == full
-            for a in range(full + 1)
-        )
-    if name == "irresolvable":
-        return not _finite_simple(space, "resolvable")
-    if name == "strongly-irresolvable":
-        for u in space.opens:
-            if u == 0:
-                continue
-            sub, _ = space.subspace(u)
-            if _finite_simple(sub, "resolvable"):
-                return False
-        return True
-    if name == "hyperconnected":
-        return all(space.closure(u) == full for u in space.opens if u)
-    if name == "hyperdisconnected":
-        return not _finite_simple(space, "hyperconnected")
     if name == "extremally-disconnected":
         return all(space.is_open(space.closure(u)) for u in space.opens)
     if name == "aleph0-ed":
@@ -443,45 +470,17 @@ def _finite_simple(space: FiniteSpace, name: str) -> bool:
         return not any(
             0 < u < full and u in po and (full ^ u) in po for u in range(full + 1)
         )
-    if name == "predisconnected":
-        return not _finite_simple(space, "preconnected")
-    if name in ("strongly-p-regular", "p-regular", "almost-p-regular"):
-        kind = {
-            "strongly-p-regular": "preclosed",
-            "p-regular": "closed",
-            "almost-p-regular": "regular_closed",
-        }[name]
-        po = space.preopen_masks
-        for f in range(full + 1):
-            if not getattr(space.classify(f), kind):
-                continue
-            for x in bits(full ^ f):
-                # disjoint preopen separation iff some preopen V >= F
-                # has x outside pcl(V)
-                if not any(
-                    f & ~v == 0 and not space.preclosure(v) >> x & 1 for v in po
-                ):
-                    return False
-        return True
-    raise ValueError(f"unknown simple property {name!r}")
-
-
-def _skel_resolvable(space: SkeletonSpace) -> bool:
-    from topolab.skeleton import sym_complement
-
-    for t, flags in classified_templates(space):
-        if flags.dense and template_flags(space, sym_complement(space, t)).dense:
-            return True
-    return False
-
-
-def _skel_strongly_irresolvable(space: SkeletonSpace) -> bool:
-    for t, flags in classified_templates(space):
-        if not flags.open or t.is_empty():
+    kind = _SEPARATED_CLASS[name]
+    po = space.preopen_masks
+    for f in range(full + 1):
+        if not getattr(space.classify(f), kind):
             continue
-        for fin_as in (1, 2):
-            sub = restrict(space, t, fin_as=fin_as)
-            if _skel_resolvable(sub):
+        for x in bits(full ^ f):
+            # disjoint preopen separation iff some preopen V >= F
+            # has x outside pcl(V)
+            if not any(
+                f & ~v == 0 and not space.preclosure(v) >> x & 1 for v in po
+            ):
                 return False
     return True
 
@@ -489,17 +488,13 @@ def _skel_strongly_irresolvable(space: SkeletonSpace) -> bool:
 def _exists_separating_preopen(space, f_set, node, group_pat, elem) -> bool:
     """Is there a preopen V containing the given set with a generic point
     of the (node, group, elem) class outside pcl(V)?"""
-    import itertools as _it
-
-    from topolab.skeleton import Config, _marked_config, _marked_pattern
-
     masks_per_node = [range(1 << nd.size) for nd in space.nodes]
     total = 1
     for r in masks_per_node:
         total *= len(r)
     if total > 4096:
         raise SkeletonOverflow("separation search too large")
-    for choice in _it.product(*masks_per_node):
+    for choice in itertools.product(*masks_per_node):
         cfg = _marked_config(space, f_set, node, group_pat, elem)
         uniform = cfg.append_patterns(
             [[choice[i]] * len(node_groups) for i, node_groups in enumerate(cfg.groups)]
@@ -531,11 +526,7 @@ def _exists_separating_preopen(space, f_set, node, group_pat, elem) -> bool:
 
 
 def _skel_p_regularity(space: SkeletonSpace, kind: str) -> bool:
-    flag = {
-        "strongly-p-regular": "preclosed",
-        "p-regular": "closed",
-        "almost-p-regular": "regular_closed",
-    }[kind]
+    flag = _SEPARATED_CLASS[kind]
     for f_set, flags in classified_templates(space):
         if not getattr(flags, flag):
             continue
@@ -552,30 +543,10 @@ def _skel_p_regularity(space: SkeletonSpace, kind: str) -> bool:
 
 
 def _skel_simple(space: SkeletonSpace, name: str) -> bool:
-    if space.finite:
-        return _finite_simple(expand(space)[0], name)
-    if name == "t0":
-        probe = finite_probe(space, 3)
-        fs, _ = expand(probe)
-        return _finite_simple(fs, "t0")
     if name == "submaximal":
         return all(
             flags.open for t, flags in classified_templates(space) if flags.dense
         )
-    if name == "resolvable":
-        return _skel_resolvable(space)
-    if name == "irresolvable":
-        return not _skel_resolvable(space)
-    if name == "strongly-irresolvable":
-        return _skel_strongly_irresolvable(space)
-    if name == "hyperconnected":
-        return all(
-            flags.dense
-            for t, flags in classified_templates(space)
-            if flags.open and not t.is_empty()
-        )
-    if name == "hyperdisconnected":
-        return not _skel_simple(space, "hyperconnected")
     if name == "extremally-disconnected":
         return all(
             template_flags(space, _sym_saturate(space, "cl", t)).open
@@ -592,17 +563,11 @@ def _skel_simple(space: SkeletonSpace, name: str) -> bool:
             flags.preregular and not t.is_empty() and not t.is_full()
             for t, flags in classified_templates(space)
         )
-    if name == "predisconnected":
-        return not _skel_simple(space, "preconnected")
-    if name in ("strongly-p-regular", "p-regular", "almost-p-regular"):
-        return _skel_p_regularity(space, name)
-    raise ValueError(f"unknown simple property {name!r}")
+    return _skel_p_regularity(space, name)
 
 
 def _boundary_has_inf(space, t: SymbolicSet) -> bool:
     """Is the boundary cl(t) - int(t) of the set infinite?"""
-    from topolab.skeleton import Config
-
     cfg = Config.of(space, t)
     diff = cfg.op_diff(cfg.op_cl(0), cfg.op_int(0))
     for node_groups in cfg.groups:
@@ -616,8 +581,20 @@ def check_simple(space, name: str) -> bool:
     """Evaluate a simple property on a finite space or a skeleton."""
     if name not in SIMPLE_PROPERTIES:
         raise ValueError(f"unknown simple property {name!r}")
-    decide = _finite_simple if isinstance(space, FiniteSpace) else _skel_simple
-    return space.recall(("simple", name), lambda: decide(space, name))
+    return space.recall(("simple", name), lambda: _decide_simple(space, name))
+
+
+def _decide_simple(space, name: str) -> bool:
+    if name in _NEGATIONS:
+        return not _decide_simple(space, _NEGATIONS[name])
+    if name in _TOP_CLASS_PROPERTIES:
+        rows = space.min_nbhd if isinstance(space, FiniteSpace) else space.probe_rows
+        return _top_class_simple(rows, name)
+    if isinstance(space, FiniteSpace):
+        return _finite_simple(space, name)
+    if space.finite:
+        return _finite_simple(expand(space)[0], name)
+    return _skel_simple(space, name)
 
 
 # -- the implication diagram --------------------------------------------------------

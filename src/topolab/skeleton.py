@@ -173,7 +173,9 @@ class SkeletonSpace:
             omega_copies if nd.is_omega else min(nd.card, 3) for nd in self.nodes
         )
 
-    def _probe_points(self, copies):
+    def _points(self, copies):
+        """The points (node, copy, element) of the realization with
+        ``copies[i]`` copies of node i, in carrier order."""
         pts = []
         for i, nd in enumerate(self.nodes):
             for c in range(copies[i]):
@@ -190,11 +192,30 @@ class SkeletonSpace:
                 return True
         return ((i, e), (j, f)) in self.rels if i != j else False
 
+    def _up_rows(self, points) -> list[int]:
+        """The up-set row of each point (node, copy, element) of a
+        realization: the mask, over ``points``, of the points above it."""
+        same, cross = self._tables
+        rows = []
+        for i, c, e in points:
+            m = 0
+            for y, (j, d, f) in enumerate(points):
+                key = ((i, e), (j, f))
+                if same[key] if (i == j and c == d) else cross[key]:
+                    m |= 1 << y
+            rows.append(m)
+        return rows
+
+    @cached_property
+    def probe_rows(self) -> tuple[int, ...]:
+        """The up-set rows of the validation probe (``probe_copies()``)."""
+        return tuple(self._up_rows(self._points(self.probe_copies())))
+
     @cached_property
     def _tables(self):
         """Class-level leq tables, validated for transitivity on a probe."""
         copies = self.probe_copies()
-        pts = self._probe_points(copies)
+        pts = self._points(copies)
         idx = {p: k for k, p in enumerate(pts)}
         n = len(pts)
         leq = [[self._probe_base_leq(x, y) for y in pts] for x in pts]
@@ -250,27 +271,21 @@ class SkeletonSpace:
         delta-closure is the down-closure of this preorder.
         """
         copies = self.probe_copies()
-        pts = self._probe_points(copies)
+        pts = self._points(copies)
         idx = {p: k for k, p in enumerate(pts)}
-        n = len(pts)
-        same, cross = self._tables
-
-        def leq(a, b):
-            (i, c, e), (j, d, f) = pts[a], pts[b]
-            key = ((i, e), (j, f))
-            return same[key] if (i == j and c == d) else cross[key]
-
-        ups = []
-        for a in range(n):
-            ups.append(frozenset(b for b in range(n) if leq(a, b)))
+        ups = self.probe_rows
 
         def cl(s):
-            return frozenset(a for a in range(n) if ups[a] & s or a in s)
+            return sum(1 << a for a, up in enumerate(ups) if up & s)
 
         def interior(s):
-            return frozenset(a for a in s if ups[a] <= s)
+            return sum(1 << a for a, up in enumerate(ups) if not up & ~s)
 
-        r = [interior(cl(ups[a])) for a in range(n)]
+        r = [interior(cl(up)) for up in ups]
+
+        def s_leq(a, p):
+            return bool(r[a] >> idx[p] & 1)
+
         s_same = {}
         s_cross = {}
         for i, ni in enumerate(self.nodes):
@@ -279,18 +294,18 @@ class SkeletonSpace:
                     for f in range(nj.size):
                         a0 = idx[i, 0, e]
                         if i == j:
-                            s_same[(i, e), (j, f)] = idx[j, 0, f] in r[a0]
+                            s_same[(i, e), (j, f)] = s_leq(a0, (j, 0, f))
                             if copies[i] > 1:
-                                v = idx[j, 1, f] in r[a0]
-                                if copies[i] > 2 and (idx[j, 2, f] in r[a0]) != v:
+                                v = s_leq(a0, (j, 1, f))
+                                if copies[i] > 2 and s_leq(a0, (j, 2, f)) != v:
                                     raise SkeletonError("non-uniform delta relation")
                                 s_cross[(i, e), (j, f)] = v
                             else:
                                 s_cross[(i, e), (j, f)] = False
                         else:
-                            v = idx[j, 0, f] in r[a0]
+                            v = s_leq(a0, (j, 0, f))
                             for d in range(1, copies[j]):
-                                if (idx[j, d, f] in r[a0]) != v:
+                                if s_leq(a0, (j, d, f)) != v:
                                     raise SkeletonError("non-uniform delta relation")
                             s_same[(i, e), (j, f)] = v
                             s_cross[(i, e), (j, f)] = v
@@ -1010,29 +1025,10 @@ def expand(space: SkeletonSpace) -> tuple[FiniteSpace, tuple]:
     """
     if not space.finite:
         raise SkeletonError("cannot expand a skeleton with omega nodes")
-    labels = []
-    for i, nd in enumerate(space.nodes):
-        for c in range(nd.card):
-            for e in range(nd.size):
-                labels.append((i, c, e))
-    n = len(labels)
-    if n > MAX_EXPLICIT_POINTS:
+    labels = space._points([nd.card for nd in space.nodes])
+    if len(labels) > MAX_EXPLICIT_POINTS:
         raise SkeletonOverflow("expansion too large")
-    same, cross = space._tables
-
-    def leq(x, y):
-        (i, c, e), (j, d, f) = labels[x], labels[y]
-        key = ((i, e), (j, f))
-        return same[key] if (i == j and c == d) else cross[key]
-
-    ups = []
-    for x in range(n):
-        m = 0
-        for y in range(n):
-            if leq(x, y):
-                m |= 1 << y
-        ups.append(m)
-    return FiniteSpace(n, up_sets(ups)), tuple(labels)
+    return FiniteSpace(len(labels), up_sets(space._up_rows(labels))), tuple(labels)
 
 
 def abstract(space: SkeletonSpace, labels, mask: int) -> SymbolicSet:
@@ -1539,7 +1535,7 @@ _CATALOG_BUILDERS = {}
 
 def _entry(name):
     def deco(fn):
-        _CATALOG_BUILDERS[name] = cache(fn)  # entries are constants, built once
+        _CATALOG_BUILDERS[name] = fn
         return fn
 
     return deco
@@ -1685,6 +1681,7 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(names)
 
 
+@cache  # entries are constants: one object per name, so one memo per space
 def catalog(name: str) -> CatalogEntry:
     """Look up a named space with its expected verdicts."""
     from topolab.core import discrete, excluded_point, indiscrete

@@ -258,6 +258,26 @@ def test_check_finite_skel_explain_prints_realized_opens(capsys, tmp_path):
     assert out.splitlines()[-2].strip() == "true" or "true" in out
 
 
+def test_top_class_properties_of_a_finite_skel_beyond_the_expansion_cap(
+        capsys, tmp_path):
+    # 18 points: decided from class rows, never expanded
+    skel = tmp_path / "eighteen.skel"
+    skel.write_text("node n0 card 6 mode antichain block antichain2\n"
+                    "node n1 card 3 mode antichain block chain2\n"
+                    "rel n0.e0 <= n1.e1\n")
+    expected = {"t0": "true", "resolvable": "false", "irresolvable": "true",
+                "strongly-irresolvable": "true", "hyperconnected": "false"}
+    for prop, word in expected.items():
+        code, out, err = run(capsys, "check", "--space", str(skel), "--prop", prop)
+        assert (code, out.strip(), err) == (0, word, ""), prop
+    # submaximal still scans every subset of the realization
+    code, out, err = run(capsys, "check", "--space", str(skel),
+                         "--prop", "submaximal")
+    assert code == 3
+    assert err.startswith("error:") and "expansion too large" in err
+    assert out == ""
+
+
 def test_topolab_seed_env_default(monkeypatch):
     from topolab.cli import build_parser
 

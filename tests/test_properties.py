@@ -459,8 +459,9 @@ def test_p41_on_the_catalog_saturates_each_template_once(monkeypatch):
 # every other result lives in the memo of the space it was computed from
 KEPT_MODULE_CACHES = {
     "topolab.verify._TOPOLOGY_CACHE",
-    # functools caches: catalog skeletons that entries share, built once,
-    # and parsed spaces interned by their JSON, bounded
+    # functools caches: the catalog entries and the skeletons they share,
+    # built once, and parsed spaces interned by their JSON, bounded
+    "topolab.skeleton.catalog",
     "topolab.skeleton._skel_excluded_point_omega",
     "topolab.skeleton._skel_discrete_omega",
     "topolab.verify._parsed_space",
@@ -481,8 +482,8 @@ def test_no_module_level_caches_beyond_the_kept_finite_ones():
             if isinstance(value, dict) and attr.startswith("_") and (
                     "CACHE" in attr or attr == "_CLASSIFIED"):
                 found.add(f"{module.__name__}.{attr}")
-            if hasattr(value, "cache_info"):
-                found.add(f"{module.__name__}.{attr}")
+            if hasattr(value, "cache_info"):  # named where it is defined
+                found.add(f"{value.__module__}.{value.__qualname__}")
     assert found == KEPT_MODULE_CACHES
     assert V._parsed_space.cache_parameters()["maxsize"] == V.PARSED_SPACES
     fs = build_space(3, [0b001, 0b011])
@@ -508,3 +509,164 @@ def test_a_warm_finite_memo_survives_pickling():
     assert again is back.memo["cover", "p-closed"]
     assert again.outcome is verdict.outcome is True
     assert json.dumps(again.to_json()) == expected
+
+
+# -- the top-class rules against the subset and template searches -------------------------
+
+TOP_CLASS_PROPERTIES = ("t0", "resolvable", "strongly-irresolvable", "hyperconnected")
+
+
+def _dense_in(sp, a, u):
+    return sp.closure(a) & u == u
+
+
+def _scan_resolvable(sp, u):
+    """Reference: some subset of the open set u and its rest are both dense
+    in u (the closure of the subspace u is the trace of the closure)."""
+    a = u
+    while True:  # every submask of u
+        if _dense_in(sp, a, u) and _dense_in(sp, u ^ a, u):
+            return True
+        if a == 0:
+            return False
+        a = (a - 1) & u
+
+
+def _scan_simple(sp, name):
+    """Reference: the scans over subsets, open sets and open subspaces that
+    these four properties were decided with before the top-class rules."""
+    full = sp.full
+    if name == "t0":
+        return all(any((u >> x & 1) != (u >> y & 1) for u in sp.opens)
+                   for x in range(sp.n) for y in range(x))
+    if name == "resolvable":
+        return _scan_resolvable(sp, full)
+    if name == "strongly-irresolvable":
+        return not any(_scan_resolvable(sp, u) for u in sp.opens if u)
+    assert name == "hyperconnected"
+    return all(sp.closure(u) == full for u in sp.opens if u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_top_class_rules_match_the_scans_on_every_finite_space(n):
+    from topolab.verify import all_topologies
+
+    for sp in all_topologies(n):
+        for name in TOP_CLASS_PROPERTIES:
+            assert check_simple(sp, name) is _scan_simple(sp, name), (sp, name)
+        assert check_simple(sp, "irresolvable") is not check_simple(sp, "resolvable")
+        assert check_simple(sp, "hyperdisconnected") is not check_simple(
+            sp, "hyperconnected")
+
+
+def _template_simple(space, name):
+    """Reference: the template searches resolvable and hyperconnected were
+    decided with on skeletons before the top-class rules."""
+    from topolab.properties import template_flags
+    from topolab.skeleton import sym_complement
+
+    if name == "resolvable":
+        return any(
+            flags.dense and template_flags(space, sym_complement(space, t)).dense
+            for t, flags in classified_templates(space))
+    assert name == "hyperconnected"
+    return all(flags.dense for t, flags in classified_templates(space)
+               if flags.open and not t.is_empty())
+
+
+def _omega_skeletons(seed, count, max_templates=300):
+    """Distinct seeded random skeletons of at most 2 nodes, one of them
+    omega, with small template spaces (the template search is slow)."""
+    import random
+
+    from topolab.skeleton import (Node, SkeletonError, all_symbolic_sets,
+                                  random_finite_skeleton)
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        base = random_finite_skeleton(rng)
+        i = rng.randrange(len(base.nodes))
+        nodes = list(base.nodes)
+        nodes[i] = Node(nodes[i].name, None, nodes[i].mode, nodes[i].block)
+        try:
+            sk = SkeletonSpace(tuple(nodes), base.rels)
+        except SkeletonError:
+            continue
+        if sk not in out and len(all_symbolic_sets(sk)) <= max_templates:
+            out.append(sk)
+    return out
+
+
+def _finite_probe_spaces(sk):
+    """The explicit realizations of sk with every omega node at 2 and at 3
+    copies, where they fit the expansion cap."""
+    from topolab.core import MAX_EXPLICIT_POINTS
+    from topolab.skeleton import expand, finite_probe
+
+    for k in (2, 3):
+        probe = finite_probe(sk, k)
+        if sum(nd.card * nd.size for nd in probe.nodes) <= MAX_EXPLICIT_POINTS:
+            yield expand(probe)[0]
+
+
+@pytest.mark.parametrize("name", CATALOG_SKELETONS)
+def test_top_class_rules_match_the_template_search_on_the_catalog(name):
+    sk = parse_skel(format_skel(catalog(name).space))  # a cold memo
+    for prop in ("resolvable", "hyperconnected"):
+        assert check_simple(sk, prop) is _template_simple(sk, prop), prop
+    probes = list(_finite_probe_spaces(sk))
+    assert probes
+    for fs in probes:
+        for prop in TOP_CLASS_PROPERTIES:
+            assert check_simple(sk, prop) is _scan_simple(fs, prop), prop
+
+
+def test_top_class_rules_match_the_template_search_on_random_omega_skeletons():
+    checked = 0
+    for sk in _omega_skeletons(seed=3, count=10):
+        for prop in ("resolvable", "hyperconnected"):
+            assert check_simple(sk, prop) is _template_simple(sk, prop), (
+                format_skel(sk), prop)
+        for fs in _finite_probe_spaces(sk):
+            checked += 1
+            for prop in TOP_CLASS_PROPERTIES:
+                assert check_simple(sk, prop) is _scan_simple(fs, prop), (
+                    format_skel(sk), prop)
+    assert checked >= 10
+
+
+def test_top_class_rules_match_the_scans_on_random_finite_skeletons():
+    import random
+
+    from topolab.skeleton import expand, random_finite_skeleton
+
+    rng = random.Random(5)
+    for _ in range(80):
+        sk = random_finite_skeleton(rng)  # at most 12 points
+        fs, _labels = expand(sk)
+        for prop in TOP_CLASS_PROPERTIES:
+            assert check_simple(sk, prop) is _scan_simple(fs, prop), (
+                format_skel(sk), prop)
+
+
+@pytest.mark.parametrize("text", [
+    "node n0 card omega mode antichain block antichain2\n",
+    "node n0 card 3 mode antichain block antichain2\n"
+    "node n1 card omega mode antichain block chain2\n",
+    "node n0 card omega mode antichain block chain2\n"
+    "node n1 card 3 mode antichain block clique2\n"
+    "rel n1.e0 <= n0.e1\n"
+    "rel n1.e1 <= n0.e1\n",
+])
+def test_strongly_irresolvable_where_the_restriction_search_took_minutes(text):
+    import time
+
+    from topolab.skeleton import expand, finite_probe
+
+    sk = parse_skel(text)
+    start = time.perf_counter()
+    assert check_simple(sk, "strongly-irresolvable") is True
+    assert time.perf_counter() - start < 1.0  # the restriction loop took 10 to 299 s
+    probe, _labels = expand(finite_probe(sk, 2))
+    assert _scan_simple(probe, "strongly-irresolvable") is True

@@ -422,6 +422,13 @@ def test_catalog_names_resolve():
         assert entry.name == name
 
 
+def test_catalog_gives_one_object_per_name():
+    # a verdict lives in its space's memo, so every claim must see one space
+    for name in catalog_names():
+        assert catalog(name) is catalog(name)
+        assert catalog(name).space is catalog(name).space
+
+
 def test_catalog_unknown():
     with pytest.raises(SkeletonError):
         catalog("nosuch")

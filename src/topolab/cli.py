@@ -14,7 +14,6 @@ import os
 import sys
 
 from topolab.core import (
-    MAX_EXPLICIT_POINTS,
     FiniteSpace,
     TopologyError,
     mask_of,
@@ -85,13 +84,9 @@ def _load_space(path: str):
     try:
         if path.endswith(".skel"):
             return parse_skel(text)
-        space = parse_topo(text)
+        return parse_topo(text)
     except (TopologyError, SkeletonError) as err:
         raise CliError(f"{path}: {err}") from err
-    if space.n > MAX_EXPLICIT_POINTS:
-        raise CliError(f"{path}: {space.n} points exceed the limit of "
-                       f"{MAX_EXPLICIT_POINTS} for explicit spaces")
-    return space
 
 
 def _parse_set(space, text: str) -> int:

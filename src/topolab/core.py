@@ -1,14 +1,11 @@
 """Finite topological spaces with exact set operators.
 
-Points are labeled 0..n-1 and subsets are integer bitmasks.  The family of
-open sets is stored explicitly in canonical order (cardinality, then mask
-value), so equality of spaces is structural and spaces hash cheaply during
-enumeration.  A finite topology is the family of up-sets of its
-specialization preorder, so the builders (``build_space``, ``product``,
-``subspace``) derive each point's up-set row, the smallest open set holding
-it, and pass every union of rows (``up_sets``) to the constructor.  All
-values are immutable and all operations are pure; each space memoizes its
-derived objects in its own ``memo``.
+Points are labeled 0..n-1 and subsets are integer bitmasks.  A finite
+topology is the family of up-sets of its specialization preorder, so a
+space stores each point's up-set row, the smallest open set holding it,
+and derives the open family (every union of rows, in canonical order) when
+first read.  All values are immutable and all operations are pure; each
+space memoizes its derived objects in its own ``memo``.
 """
 
 from __future__ import annotations
@@ -111,72 +108,89 @@ class ClassFlags:
         return {name: getattr(self, name) for name in CLASS_FLAG_NAMES}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FiniteSpace:
-    """An explicit topology on the carrier {0, .., n-1}.
-
-    ``opens`` is canonically ordered, deduplicated, contains the empty set
-    and the full carrier, and is closed under pairwise union and
-    intersection (checked on construction).
+    """A topology on the carrier {0, .., n-1}, stored as its preorder:
+    ``min_nbhd[x]`` is the up-set row of x, the smallest open set holding
+    x.  Equality and hash come from ``(n, min_nbhd)``; ``opens`` is every
+    union of rows, in canonical order (cardinality, then mask value).
+    ``FiniteSpace(n, opens)`` checks an open family given in any order;
+    ``from_rows(n, rows)`` checks that the rows form a preorder.
     """
 
     n: int
-    opens: tuple[int, ...]
+    min_nbhd: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, opens):
+        if n < 1:
             raise TopologyError("carrier must have at least one point")
-        full = (1 << self.n) - 1
-        seen = set(self.opens)
-        if len(seen) != len(self.opens):
+        full = (1 << n) - 1
+        seen = set(opens)
+        if len(seen) != len(opens):
             raise TopologyError("duplicate open sets")
         if 0 not in seen or full not in seen:
             raise TopologyError("opens must contain the empty set and the carrier")
-        for m in self.opens:
+        for m in seen:
             if m & ~full:
                 raise TopologyError(f"open set {m:b} exceeds the carrier")
-        for a in self.opens:
-            for b in self.opens:
-                if a | b not in seen:
+        rows = [full] * n
+        for o in seen:
+            for x in bits(o):
+                rows[x] &= o
+        # each open set is the union of the rows of its points, so the family
+        # is a topology iff it holds every union of rows
+        canon = up_sets(rows)
+        if len(canon) != len(seen):
+            for row in rows:
+                if row not in seen:
                     raise TopologyError(
-                        f"not closed under union: {points_of(a)} | {points_of(b)}"
-                    )
-                if a & b not in seen:
-                    raise TopologyError(
-                        f"not closed under intersection: {points_of(a)} & {points_of(b)}"
-                    )
-        object.__setattr__(self, "opens", _canon(self.opens))
-        object.__setattr__(self, "full", full)
-        # dict lookups keyed by a space (classify, cover families, verdicts)
-        # would otherwise rehash every open set each time
-        object.__setattr__(self, "_hash", hash((self.n, self.opens)))
+                        f"not closed under intersection: missing {points_of(row)}")
+            missing = next(m for m in canon if m not in seen)
+            raise TopologyError(f"not closed under union: missing {points_of(missing)}")
+        self._store(n, rows)
+        object.__setattr__(self, "opens", canon)
 
-    def __hash__(self):
-        return self._hash
+    @classmethod
+    def from_rows(cls, n: int, rows) -> "FiniteSpace":
+        """The space whose up-set row of point x is ``rows[x]``, checked in
+        O(n^2) to be a preorder: each row holds its own point, fits the
+        carrier and contains the row of each of its points."""
+        if n < 1:
+            raise TopologyError("carrier must have at least one point")
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise TopologyError(f"{len(rows)} up-set rows for {n} points")
+        full = (1 << n) - 1
+        for x, row in enumerate(rows):
+            if row & ~full:
+                raise TopologyError(f"up-set row of {x} exceeds the carrier")
+            if not row >> x & 1:
+                raise TopologyError(f"up-set row of {x} misses {x}")
+            for y in bits(row):
+                if rows[y] & ~row:
+                    raise TopologyError(
+                        f"not transitive: {x} <= {y}, but row {y} leaves row {x}")
+        space = cls.__new__(cls)
+        space._store(n, rows)
+        return space
+
+    def _store(self, n: int, rows):
+        # past the frozen guard; a ``__dict__`` write would lose the compact layout
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "min_nbhd", tuple(rows))
+        object.__setattr__(self, "full", (1 << n) - 1)
 
     # -- basic structure ------------------------------------------------
 
     @cached_property
-    def _open_set(self) -> frozenset:
-        return frozenset(self.opens)
-
-    @cached_property
-    def min_nbhd(self) -> tuple[int, ...]:
-        """Smallest open neighbourhood of each point (finite = Alexandrov)."""
-        out = []
-        for x in range(self.n):
-            m = self.full
-            for o in self.opens:
-                if o >> x & 1:
-                    m &= o
-            out.append(m)
-        return tuple(out)
+    def opens(self) -> tuple[int, ...]:
+        return up_sets(self.min_nbhd)
 
     def is_open(self, a: int) -> bool:
-        return a in self._open_set
+        return self.interior(a) == a
 
     def is_closed(self, a: int) -> bool:
-        return (self.full ^ a) in self._open_set
+        return self.closure(a) == a
 
     def check_fits(self, a: int):
         if a & ~self.full:
@@ -228,14 +242,8 @@ class FiniteSpace:
 
     @cached_property
     def _min_regular_nbhd(self) -> tuple[int, ...]:
-        out = []
-        for x in range(self.n):
-            m = self.full
-            for r in self.regular_opens:
-                if r >> x & 1:
-                    m &= r
-            out.append(m)
-        return tuple(out)
+        """Smallest regular open set holding each point: int(cl(row))."""
+        return tuple(self.interior(self.closure(u)) for u in self.min_nbhd)
 
     def delta_closure(self, a: int) -> int:
         self.check_fits(a)
@@ -341,9 +349,12 @@ class FiniteSpace:
         semi_closed = int_cl & ~a == 0
         pth = self.pre_theta_closure(a)
         pth_c = self.pre_theta_closure(self.full ^ a)
+        up_a = 0  # the smallest open set holding a
+        for x in bits(a):
+            up_a |= self.min_nbhd[x]
         return ClassFlags(
-            open=self.is_open(a),
-            closed=self.is_closed(a),
+            open=int_a == a,
+            closed=cl_a == a,
             regular_open=a == int_cl,
             regular_closed=a == cl_int,
             preopen=preopen,
@@ -359,7 +370,7 @@ class FiniteSpace:
             pre_theta_closed=pth == a,
             dense=cl_a == self.full,
             nowhere_dense=int_cl == 0,
-            locally_closed=any(a == o & cl_a for o in self.opens),
+            locally_closed=up_a & cl_a == a,
             locally_dense=preopen,
         )
 
@@ -380,7 +391,7 @@ class FiniteSpace:
         index = {p: i for i, p in enumerate(pts)}
         rows = [sum(1 << index[q] for q in bits(self.min_nbhd[p] & a))
                 for p in pts]
-        return FiniteSpace(len(pts), up_sets(rows)), pts
+        return FiniteSpace.from_rows(len(pts), rows), pts
 
     def __str__(self):
         sets = ",".join("{" + " ".join(map(str, points_of(o))) + "}" for o in self.opens)
@@ -399,7 +410,7 @@ def build_space(n: int, generators) -> FiniteSpace:
             raise TopologyError(f"generator {g:b} does not fit carrier of size {n}")
         for x in bits(g):
             rows[x] &= g
-    return FiniteSpace(n, up_sets(rows))
+    return FiniteSpace.from_rows(n, rows)
 
 
 def product(x: FiniteSpace, y: FiniteSpace) -> FiniteSpace:
@@ -407,7 +418,7 @@ def product(x: FiniteSpace, y: FiniteSpace) -> FiniteSpace:
     The up-set row of (p, q) is the product of the rows of p and q."""
     rows = [sum(v << (p * y.n) for p in bits(u))
             for u in x.min_nbhd for v in y.min_nbhd]
-    return FiniteSpace(x.n * y.n, up_sets(rows))
+    return FiniteSpace.from_rows(x.n * y.n, rows)
 
 
 @dataclass(frozen=True)
@@ -469,9 +480,9 @@ def semi_regular_sandwich(space: FiniteSpace, a: int) -> bool:
 def parse_topo(text: str) -> FiniteSpace:
     """Parse the ``.topo`` format: ``points N`` then one ``open ...`` per line.
 
-    The empty set and the full carrier may be omitted.  The listed family
-    must already be a topology; the constructor names the offending pair of
-    sets.
+    The empty set and the full carrier may be omitted.  ``N`` is at most
+    ``MAX_EXPLICIT_POINTS``.  The listed family must already be a topology;
+    the constructor names a missing intersection or union.
     """
     n = None
     fam = set()
@@ -486,6 +497,9 @@ def parse_topo(text: str) -> FiniteSpace:
             if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
                 raise TopologyError(f"line {lineno}: expected 'points N' with N >= 1")
             n = int(parts[1])
+            if n > MAX_EXPLICIT_POINTS:  # before any set of n bits is built
+                raise TopologyError(f"line {lineno}: {n} points exceed the limit of "
+                                    f"{MAX_EXPLICIT_POINTS} for explicit spaces")
         elif parts[0] == "open":
             if n is None:
                 raise TopologyError(f"line {lineno}: 'open' before 'points'")
@@ -498,7 +512,7 @@ def parse_topo(text: str) -> FiniteSpace:
             raise TopologyError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:
         raise TopologyError("missing 'points N' line")
-    return FiniteSpace(n, _canon(fam | {0, (1 << n) - 1}))
+    return FiniteSpace(n, tuple(fam | {0, (1 << n) - 1}))
 
 
 def format_topo(space: FiniteSpace) -> str:

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from topolab.core import MAX_EXPLICIT_POINTS, FiniteSpace, bits, ClassFlags, up_sets
+from topolab.core import MAX_EXPLICIT_POINTS, FiniteSpace, bits, ClassFlags
 
 FIN = "fin"
 INF = "inf"
@@ -273,15 +273,7 @@ class SkeletonSpace:
         copies = self.probe_copies()
         pts = self._points(copies)
         idx = {p: k for k, p in enumerate(pts)}
-        ups = self.probe_rows
-
-        def cl(s):
-            return sum(1 << a for a, up in enumerate(ups) if up & s)
-
-        def interior(s):
-            return sum(1 << a for a, up in enumerate(ups) if not up & ~s)
-
-        r = [interior(cl(up)) for up in ups]
+        r = FiniteSpace.from_rows(len(pts), self.probe_rows)._min_regular_nbhd
 
         def s_leq(a, p):
             return bool(r[a] >> idx[p] & 1)
@@ -1028,7 +1020,7 @@ def expand(space: SkeletonSpace) -> tuple[FiniteSpace, tuple]:
     labels = space._points([nd.card for nd in space.nodes])
     if len(labels) > MAX_EXPLICIT_POINTS:
         raise SkeletonOverflow("expansion too large")
-    return FiniteSpace(len(labels), up_sets(space._up_rows(labels))), tuple(labels)
+    return FiniteSpace.from_rows(len(labels), space._up_rows(labels)), tuple(labels)
 
 
 def abstract(space: SkeletonSpace, labels, mask: int) -> SymbolicSet:
@@ -1689,15 +1681,16 @@ def catalog(name: str) -> CatalogEntry:
     if name in _CATALOG_BUILDERS:
         return _CATALOG_BUILDERS[name]()
     kind, _, num = name.rpartition("-")
-    if num.isdigit() and int(num) >= 1:
+    # only the canonical spelling of a size, so each space has one entry
+    if num in ("1", "2", "3", "4", "5", "6"):
         n = int(num)
-        if kind == "indiscrete" and n <= 6:
+        if kind == "indiscrete":
             return CatalogEntry(
                 name, indiscrete(n), (("p-closed", True, CITED),)
             )
-        if kind == "discrete" and n <= 6:
+        if kind == "discrete":
             return CatalogEntry(name, discrete(n), (("p-closed", True, DERIVED),))
-        if kind == "excluded-point" and n <= 6:
+        if kind == "excluded-point":
             return CatalogEntry(
                 name, excluded_point(n), (("p-closed", True, DERIVED),)
             )

@@ -23,6 +23,7 @@ from topolab.core import (
     map_classify,
     mask_of,
     points_of,
+    up_sets,
 )
 from topolab.properties import (
     COVER_PROPERTIES,
@@ -74,42 +75,39 @@ def topologies_by_family_scan(n: int) -> tuple[FiniteSpace, ...]:
 
 
 def _one_point_extensions(level, k: int):
-    """The opens of every extension of each topology on k points in
-    ``level`` (given by its opens) by a new point k.
+    """The up-set rows of every extension of each preorder on k points in
+    ``level`` (given by its rows) by a new point k.
 
     The new point picks the points above it (an open set U of the parent)
-    and the points below it (a closed set D), with U inside the minimal
-    neighbourhood of every point of D so the relation stays transitive.
-    The opens of the extension are the parent's opens missing D, plus
-    O | {k} for each parent open O containing U.
+    and the points below it (a closed set D), with U inside the row of
+    every point of D so the relation stays transitive.  Each point of D
+    gains k in its row, and the row of k is U | {k}.
     """
     full, new = (1 << k) - 1, 1 << k
-    for opens in level:
-        nbhd = [full] * k
+    for rows in level:
+        opens = up_sets(rows)
         for o in opens:
-            for x in bits(o):
-                nbhd[x] &= o
-        for down in (full ^ o for o in opens):
+            down = full ^ o
             cap = full
             for x in bits(down):
-                cap &= nbhd[x]
-            apart = tuple(o for o in opens if not o & down)
+                cap &= rows[x]
+            lifted = tuple(r | new if down >> x & 1 else r
+                           for x, r in enumerate(rows))
             for up in opens:
                 if not up & ~cap:
-                    yield apart + tuple(o | new for o in opens if not up & ~o)
+                    yield lifted + (up | new,)
 
 
 def topologies_by_preorder(n: int) -> tuple[FiniteSpace, ...]:
     """Grow every preorder one point at a time; opens are its up-sets."""
     if not 1 <= n <= 5:
         raise ValueError("preorder enumeration supported for 1 <= n <= 5")
-    level = [(0,)]  # the one topology on the empty carrier
-    for k in range(n - 1):
+    level = [()]  # the one preorder on the empty carrier
+    for k in range(n):
         level = list(_one_point_extensions(level, k))
-    spaces = [FiniteSpace(n, opens)
-              for opens in _one_point_extensions(level, n - 1)]
-    spaces.sort(key=lambda sp: sp.opens)
-    return tuple(spaces)
+    # in the order of the open families, without keeping them
+    level.sort(key=up_sets)
+    return tuple(FiniteSpace.from_rows(n, rows) for rows in level)
 
 
 _TOPOLOGY_CACHE: dict[int, tuple] = {}
@@ -128,20 +126,17 @@ def all_topologies(n: int) -> tuple[FiniteSpace, ...]:
 
 
 def _signature(sp: FiniteSpace):
-    pts = sorted(
-        (bin(sp.min_nbhd[x]).count("1"), bin(sp.closure(1 << x)).count("1"))
-        for x in range(sp.n)
-    )
-    return (sp.n, tuple(sorted(bin(o).count("1") for o in sp.opens)), tuple(pts))
+    """Each point's (|row x|, |cl{x}|), and what a homeomorphism keeps of
+    the whole space."""
+    points = [(bin(u).count("1"), bin(sp.closure(1 << x)).count("1"))
+              for x, u in enumerate(sp.min_nbhd)]
+    return points, (sp.n, sorted(bin(o).count("1") for o in sp.opens), sorted(points))
 
 
 def homeomorphic(a: FiniteSpace, b: FiniteSpace) -> bool:
-    if _signature(a) != _signature(b):
+    (sig_a, whole_a), (sig_b, whole_b) = _signature(a), _signature(b)
+    if whole_a != whole_b:
         return False
-    sig_a = [(bin(a.min_nbhd[x]).count("1"), bin(a.closure(1 << x)).count("1"))
-             for x in range(a.n)]
-    sig_b = [(bin(b.min_nbhd[x]).count("1"), bin(b.closure(1 << x)).count("1"))
-             for x in range(b.n)]
     opens_b = set(b.opens)
     assign = [None] * a.n
     used = [False] * b.n

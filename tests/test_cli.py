@@ -140,6 +140,12 @@ def test_catalog_show(capsys):
     assert "expected p-closed: true [cited]" in out
 
 
+def test_catalog_rejects_a_non_canonical_size(capsys):
+    code, _, err = run(capsys, "catalog", "indiscrete-05")
+    assert code == 3
+    assert err.startswith("error:")
+
+
 def test_catalog_check_single_entry(capsys):
     code, out, _ = run(capsys, "catalog", "e1iii", "--check")
     assert code == 0

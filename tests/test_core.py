@@ -130,11 +130,57 @@ def test_hash_is_computed_once_and_survives_pickling():
     import pickle
 
     for sp in all_spaces(3):
-        assert hash(sp) == hash((sp.n, sp.opens))
+        assert hash(sp) == hash(core.FiniteSpace.from_rows(sp.n, sp.min_nbhd))
         sp.classify(sp.full)  # travel with a warm cache, as --jobs does
         back = pickle.loads(pickle.dumps(sp))
         assert back == sp and hash(back) == hash(sp)
         assert {sp: 1}[back] == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rows_and_opens_build_the_same_space(n):
+    for sp in all_spaces(n):
+        by_rows = core.FiniteSpace.from_rows(n, sp.min_nbhd)
+        for by_opens in (core.FiniteSpace(n, sp.opens),
+                         core.FiniteSpace(n, sp.opens[::-1])):
+            assert by_rows == by_opens and hash(by_rows) == hash(by_opens)
+            assert by_rows.opens == by_opens.opens == sp.opens
+
+
+@pytest.mark.parametrize("n, rows", [
+    (2, (0b10, 0b10)),
+    (2, (0b101, 0b10)),
+    (2, (-1, 0b10)),
+    (3, (0b011, 0b110, 0b100)),
+    (2, (0b11,)),
+    (0, ()),
+], ids=["own-point", "carrier", "negative", "transitive", "row-count", "empty"])
+def test_from_rows_rejects_a_non_preorder(n, rows):
+    with pytest.raises(TopologyError):
+        core.FiniteSpace.from_rows(n, rows)
+
+
+def _min_regular_nbhd_by_scan(sp, x):
+    m = sp.full
+    for r in sp.regular_opens:
+        if r >> x & 1:
+            m &= r
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_forms_match_the_open_list_scan(n):
+    for sp in all_spaces(n):
+        opens = set(sp.opens)
+        min_reg = [_min_regular_nbhd_by_scan(sp, x) for x in range(n)]
+        for a in range(sp.full + 1):
+            f = sp.classify(a)
+            cl_a = sp.closure(a)
+            assert f.open == (a in opens)
+            assert f.closed == (sp.full ^ a in opens)
+            assert f.locally_closed == any(a == o & cl_a for o in opens)
+            assert sp.delta_closure(a) == sum(
+                1 << x for x in range(n) if min_reg[x] & a)
 
 
 def test_closure_is_smallest_closed_superset():
@@ -422,6 +468,12 @@ def test_topo_parse_names_a_missing_intersection():
     with pytest.raises(TopologyError) as err:
         parse_topo("points 3\nopen 0 1\nopen 1 2\n")
     assert "intersection" in str(err.value)
+
+
+def test_topo_parse_refuses_a_large_carrier_before_building_it():
+    # the opens constructor's row pass is quadratic in n on big-int masks
+    with pytest.raises(TopologyError, match="limit of 16"):
+        parse_topo("points 1000000\nopen 0\n")
 
 
 def test_topo_parse_errors():

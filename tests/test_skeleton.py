@@ -434,6 +434,15 @@ def test_catalog_unknown():
         catalog("nosuch")
 
 
+@pytest.mark.parametrize("name", ["indiscrete-05", "discrete-\uff13",
+                                  "discrete-\u00b2", "discrete-0",
+                                  "excluded-point-7"])
+def test_catalog_takes_only_the_canonical_size(name):
+    # a second spelling would be a second entry with a second memo
+    with pytest.raises(SkeletonError, match="unknown catalog entry"):
+        catalog(name)
+
+
 def test_catalog_expected_shapes():
     e = catalog("e1iii")
     d = e.expected_dict()

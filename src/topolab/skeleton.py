@@ -127,13 +127,12 @@ def _card_add(a, b):
     return a + b
 
 
-def _card_nonzero(c):
-    """True / False / None (indeterminate)."""
-    if c == 0:
-        return False
-    if c == _FIN0:
-        return None
-    return True
+def _or_table(masks) -> tuple[int, ...]:
+    """The union of ``masks[e]`` over the elements e of each pattern."""
+    table = [0]
+    for m in masks:
+        table += [t | m for t in table]
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -329,6 +328,30 @@ class SkeletonSpace:
     def down_masks_s(self):
         return self._down_masks(self._s_tables)
 
+    def _pattern_tables(self, masks):
+        """``masks`` indexed by pattern: per node i, the same-copy down-mask
+        of every pattern of i; per node pair (i, j), the cross-copy
+        down-mask on i of every pattern of j."""
+        down_same, down_cross = masks
+        sizes = [nd.size for nd in self.nodes]
+        same = tuple(_or_table([down_same[i, e] for e in range(k)])
+                     for i, k in enumerate(sizes))
+        cross = tuple(tuple(_or_table([down_cross[i, (j, f)] for f in range(k)])
+                            for j, k in enumerate(sizes)) for i in range(len(sizes)))
+        return same, cross
+
+    @cached_property
+    def down_tables(self):
+        return self._pattern_tables(self.down_masks)
+
+    @cached_property
+    def down_tables_s(self):
+        return self._pattern_tables(self.down_masks_s)
+
+    @cached_property
+    def full_patterns(self) -> tuple[int, ...]:
+        return tuple(nd.full_pattern for nd in self.nodes)
+
     @cached_property
     def up_masks(self):
         """up_same[i, e] and up_cross[(j, (i, e))]: classes above (i, e)."""
@@ -519,35 +542,14 @@ def full_set(space: SkeletonSpace) -> SymbolicSet:
 class Config:
     space: SkeletonSpace
     groups: list  # per node: list of [card, list_of_patterns, marked]
+    slots: int = 1  # patterns per group
 
     @staticmethod
-    def of(space: SkeletonSpace, *sets: SymbolicSet) -> "Config":
-        for s in sets:
-            if s.space is not space and s.space != space:
-                raise SkeletonError("set does not fit the skeleton")
-        if not sets:
-            raise SkeletonError("need at least one set")
-        groups = []
-        for i, nd in enumerate(space.nodes):
-            if len(sets) == 1:
-                groups.append(
-                    [[card, [pat], False] for pat, card in sets[0].counts[i]]
-                )
-                continue
-            # independent sets are aligned only through explicit joint builds
-            raise SkeletonError("multi-set configs must be built jointly")
-        return Config(space, groups)
-
-    def slot_count(self) -> int:
-        for node_groups in self.groups:
-            for g in node_groups:
-                return len(g[1])
-        return 0
-
-    def copy(self) -> "Config":
+    def of(space: SkeletonSpace, a: SymbolicSet) -> "Config":
+        if a.space is not space and a.space != space:
+            raise SkeletonError("set does not fit the skeleton")
         return Config(
-            self.space,
-            [[[g[0], list(g[1]), g[2]] for g in node_groups] for node_groups in self.groups],
+            space, [[[card, [pat], False] for pat, card in pairs] for pairs in a.counts]
         )
 
     # -- slot bookkeeping --
@@ -556,83 +558,74 @@ class Config:
         for node_groups, pats in zip(self.groups, per_group_patterns):
             for g, p in zip(node_groups, pats):
                 g[1].append(p)
-        return self.slot_count() - 1
+        return self._new_slot()
 
-    def patterns(self, slot):
-        return [[g[1][slot] for g in node_groups] for node_groups in self.groups]
+    def _new_slot(self) -> int:
+        self.slots += 1
+        return self.slots - 1
 
-    # -- primitive ops --
+    # -- primitive ops (each appends its result to every group's patterns) --
 
     def op_not(self, slot: int) -> int:
-        out = []
-        for i, node_groups in enumerate(self.groups):
-            full = self.space.nodes[i].full_pattern
-            out.append([g[1][slot] ^ full for g in node_groups])
-        return self.append_patterns(out)
+        for node_groups, full in zip(self.groups, self.space.full_patterns):
+            for _card, pats, _marked in node_groups:
+                pats.append(pats[slot] ^ full)
+        return self._new_slot()
 
     def op_or(self, s1: int, s2: int) -> int:
-        return self.append_patterns(
-            [[g[1][s1] | g[1][s2] for g in node_groups] for node_groups in self.groups]
-        )
+        for node_groups in self.groups:
+            for _card, pats, _marked in node_groups:
+                pats.append(pats[s1] | pats[s2])
+        return self._new_slot()
 
     def op_and(self, s1: int, s2: int) -> int:
-        return self.append_patterns(
-            [[g[1][s1] & g[1][s2] for g in node_groups] for node_groups in self.groups]
-        )
+        for node_groups in self.groups:
+            for _card, pats, _marked in node_groups:
+                pats.append(pats[s1] & pats[s2])
+        return self._new_slot()
 
     def op_diff(self, s1: int, s2: int) -> int:
-        return self.append_patterns(
-            [[g[1][s1] & ~g[1][s2] for g in node_groups] for node_groups in self.groups]
-        )
+        for node_groups in self.groups:
+            for _card, pats, _marked in node_groups:
+                pats.append(pats[s1] & ~pats[s2])
+        return self._new_slot()
 
-    def _touch_info(self, slot):
-        definite = set()
-        maybe = set()
-        for i, node_groups in enumerate(self.groups):
+    def _op_downclose(self, slot: int, tables) -> int:
+        """Down-closure through pattern tables (``SkeletonSpace.down_tables``).
+        Each node's patterns on copies that surely exist, and on copies that
+        may not (``_FIN0``), are ORed into one mask apiece; the ambiguity
+        test runs before anything is appended."""
+        same_tab, cross_tab = tables
+        sure, unsure = [], []
+        for node_groups in self.groups:
+            s = u = 0
             for card, pats, _marked in node_groups:
-                pat = pats[slot]
-                if not pat:
-                    continue
-                nz = _card_nonzero(card)
-                if nz is True:
-                    for e in bits(pat):
-                        definite.add((i, e))
-                elif nz is None:
-                    for e in bits(pat):
-                        maybe.add((i, e))
-        return definite, maybe - definite
-
-    def _op_downclose(self, slot: int, down_same, down_cross) -> int:
-        definite, maybe = self._touch_info(slot)
-        uniform = [0] * len(self.groups)
-        for i in range(len(self.groups)):
-            for j, f in definite:
-                uniform[i] |= down_cross.get((i, (j, f)), 0)
-        maybe_uniform = [0] * len(self.groups)
-        for i in range(len(self.groups)):
-            for j, f in maybe:
-                maybe_uniform[i] |= down_cross.get((i, (j, f)), 0)
-        out = []
-        for i, node_groups in enumerate(self.groups):
-            pats = []
-            for card, gpats, _marked in node_groups:
-                pat = gpats[slot]
-                new = uniform[i]
-                for e in bits(pat):
-                    new |= down_same[i, e]
-                if maybe_uniform[i] & ~new:
-                    raise SymbolicAmbiguity(
-                        "closure depends on an indeterminate copy count"
-                    )
-                pats.append(new)
-            out.append(pats)
-        return self.append_patterns(out)
+                if card == _FIN0:
+                    u |= pats[slot]
+                elif card:
+                    s |= pats[slot]
+            sure.append(s)
+            unsure.append(u)
+        uniforms = []
+        for node_groups, same, cross in zip(self.groups, same_tab, cross_tab):
+            uniform = maybe = 0
+            for tab, s, u in zip(cross, sure, unsure):
+                uniform |= tab[s]
+                maybe |= tab[u]
+            if maybe and any(maybe & ~(uniform | same[pats[slot]])
+                             for _card, pats, _marked in node_groups):
+                raise SymbolicAmbiguity("closure depends on an indeterminate copy count")
+            uniforms.append(uniform)
+        for node_groups, same, uniform in zip(self.groups, same_tab, uniforms):
+            for _card, pats, _marked in node_groups:
+                pats.append(uniform | same[pats[slot]])
+        return self._new_slot()
 
     def op_cl(self, slot: int) -> int:
-        return self._op_downclose(slot, *self.space.down_masks)
+        return self._op_downclose(slot, self.space.down_tables)
 
     def op_cl_delta(self, slot: int) -> int:
-        return self._op_downclose(slot, *self.space.down_masks_s)
+        return self._op_downclose(slot, self.space.down_tables_s)
 
     def op_int(self, slot: int) -> int:
         return self.op_not(self.op_cl(self.op_not(slot)))
@@ -653,7 +646,7 @@ class Config:
         for node_groups in self.groups:
             for card, pats, _m in node_groups:
                 if card != 0 and pats[s1] & ~pats[s2]:
-                    if _card_nonzero(card) is None:
+                    if card == _FIN0:
                         ambiguous = True
                     else:
                         return False
@@ -668,17 +661,16 @@ class Config:
         for node_groups in self.groups:
             for card, pats, _m in node_groups:
                 if pats[slot] and card != 0:
-                    if _card_nonzero(card) is None:
+                    if card == _FIN0:
                         raise SymbolicAmbiguity("emptiness on indeterminate count")
                     return False
         return True
 
     def slot_full(self, slot: int) -> bool:
-        for i, node_groups in enumerate(self.groups):
-            full = self.space.nodes[i].full_pattern
+        for node_groups, full in zip(self.groups, self.space.full_patterns):
             for card, pats, _m in node_groups:
                 if pats[slot] != full and card != 0:
-                    if _card_nonzero(card) is None:
+                    if card == _FIN0:
                         raise SymbolicAmbiguity("fullness on indeterminate count")
                     return False
         return True
@@ -879,7 +871,7 @@ def _pre_theta_member(space, b: SymbolicSet, node: int, group_pat: int, elem: in
         for i in range(len(space.nodes)):
             if not groups[i]:
                 groups[i].append([0, [0, 0], False])
-        trial = Config(space, groups)
+        trial = Config(space, groups, 2)
         u_slot = 1
         try:
             if not trial.slot_subset(u_slot, trial.op_int(trial.op_cl(u_slot))):
@@ -925,6 +917,13 @@ def sym_complement(space, a: SymbolicSet) -> SymbolicSet:
 
 def sym_pre_theta_closure(space, a: SymbolicSet) -> SymbolicSet:
     return sym_complement(space, sym_pre_theta_interior(space, sym_complement(space, a)))
+
+
+def _recall_pre_theta_closure(space, a: SymbolicSet) -> SymbolicSet:
+    """The pre-theta closure of ``a``, in the space memo under the key the
+    saturations use (``properties._sym_saturate``), so that classifying a
+    template and its complement computes each closure once."""
+    return space.recall(("pcl-theta", a.counts), lambda: sym_pre_theta_closure(space, a))
 
 
 _SIMPLE_OPS = {
@@ -980,9 +979,9 @@ def sym_classify(space: SkeletonSpace, a: SymbolicSet) -> ClassFlags:
     locally_closed = cfg.slot_equal(cfg.op_cl(s_rim), s_rim)
     delta_preopen = cfg.slot_subset(s_a, s_intcld)
     delta_preclosed = cfg.slot_subset(comp, cfg.op_int(s_cld_c))
-    pth = sym_pre_theta_closure(space, a)
+    pth = _recall_pre_theta_closure(space, a)
     comp_set = sym_complement(space, a)
-    pth_c = sym_pre_theta_closure(space, comp_set)
+    pth_c = _recall_pre_theta_closure(space, comp_set)
     return ClassFlags(
         open=cfg.slot_equal(s_a, s_int),
         closed=cfg.slot_equal(s_a, s_cl),

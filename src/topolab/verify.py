@@ -823,12 +823,12 @@ def _tn2():
             for a, b in _subset_pairs(space, ctx):
                 yield {"subsets": [list(points_of(a)), list(points_of(b))]}
         else:
-            temps = classified_templates(space)
-            for t1, f1 in temps:
+            temps = [(t.to_json(), f) for t, f in classified_templates(space)]
+            for j1, f1 in temps:
                 if not f1.pre_theta_closed:
                     continue
-                for t2, _f2 in temps:
-                    yield {"templates": [t1.to_json(), t2.to_json()]}
+                for j2, _f2 in temps:
+                    yield {"templates": [j1, j2]}
 
     def pred(space, inst):
         if isinstance(space, FiniteSpace):

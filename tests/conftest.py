@@ -7,6 +7,8 @@ from functools import lru_cache
 import pytest
 
 from topolab.core import FiniteSpace, build_space
+from topolab.skeleton import (Node, SkeletonError, SkeletonSpace, all_symbolic_sets,
+                              random_finite_skeleton)
 
 
 @lru_cache(maxsize=None)
@@ -36,6 +38,27 @@ def all_spaces(n: int) -> tuple[FiniteSpace, ...]:
         if ok:
             out.append(FiniteSpace(n, tuple(fam)))
     return tuple(out)
+
+
+def omega_skeletons(seed, count, max_templates=300):
+    """Distinct seeded random skeletons of at most 2 nodes, one of them
+    omega, with small template spaces (the template search is slow)."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        base = random_finite_skeleton(rng)
+        i = rng.randrange(len(base.nodes))
+        nodes = list(base.nodes)
+        nodes[i] = Node(nodes[i].name, None, nodes[i].mode, nodes[i].block)
+        try:
+            sk = SkeletonSpace(tuple(nodes), base.rels)
+        except SkeletonError:
+            continue
+        if sk not in out and len(all_symbolic_sets(sk)) <= max_templates:
+            out.append(sk)
+    return out
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Cover-property and simple-property checkers on finite spaces and the catalog."""
 
+from collections import Counter
+
 import pytest
 
 from topolab.core import build_space, discrete, indiscrete, points_of, sierpinski
@@ -25,7 +27,7 @@ from topolab.skeleton import (
     parse_skel,
 )
 
-from conftest import all_spaces
+from conftest import all_spaces, omega_skeletons
 
 
 # -- named scheme instances -----------------------------------------------------
@@ -421,10 +423,10 @@ def test_raised_saturation_is_memoized_as_unknown(monkeypatch):
 
 def _saturations_per_key(monkeypatch, cid):
     """Run ``cid`` on the catalog from cold memos and count how often each
-    (space, op, template) is saturated."""
-    from collections import Counter
-
+    (space, op, template) is saturated.  A pre-theta closure is counted
+    where it is computed, whether a saturation or a classification asks."""
     import topolab.properties as P
+    import topolab.skeleton as S
     from topolab.verify import CATALOG_UNIVERSE, Universe, run_claim
 
     for name in CATALOG_UNIVERSE:
@@ -432,13 +434,19 @@ def _saturations_per_key(monkeypatch, cid):
         if isinstance(space, SkeletonSpace):
             space.memo.clear()
     evaluated = Counter()
-    real = P.sym_operator
+    real_operator, real_closure = P.sym_operator, S.sym_pre_theta_closure
 
-    def counting(space, op, t):
-        evaluated[space, op, t.counts] += 1
-        return real(space, op, t)
+    def counting_operator(space, op, t):
+        if op != "pcl-theta":
+            evaluated[space, op, t.counts] += 1
+        return real_operator(space, op, t)
 
-    monkeypatch.setattr(P, "sym_operator", counting)
+    def counting_closure(space, t):
+        evaluated[space, "pcl-theta", t.counts] += 1
+        return real_closure(space, t)
+
+    monkeypatch.setattr(P, "sym_operator", counting_operator)
+    monkeypatch.setattr(S, "sym_pre_theta_closure", counting_closure)
     report = run_claim(cid, Universe.parse("catalog"))
     assert report.status == "pass"
     return evaluated
@@ -453,6 +461,27 @@ def test_tn2_on_the_catalog_saturates_each_template_once(monkeypatch):
 def test_p41_on_the_catalog_saturates_each_template_once(monkeypatch):
     evaluated = _saturations_per_key(monkeypatch, "P41")
     assert {op for _sp, op, _counts in evaluated} >= {"pcl-theta", "pcl", "cl"}
+    assert max(evaluated.values()) == 1
+
+
+@pytest.mark.parametrize("name", CATALOG_SKELETONS)
+def test_classifying_the_templates_closes_each_one_once(monkeypatch, name):
+    """Classifying a template takes the pre-theta closures of it and of its
+    complement, another template: each closure is computed once, shared
+    through the memo."""
+    import topolab.skeleton as S
+
+    evaluated = Counter()
+    real = S.sym_pre_theta_closure
+
+    def counting(space, t):
+        evaluated[t.counts] += 1
+        return real(space, t)
+
+    monkeypatch.setattr(S, "sym_pre_theta_closure", counting)
+    sk = parse_skel(format_skel(catalog(name).space))  # a cold memo
+    templates = classified_templates(sk)
+    assert set(evaluated) == {t.counts for t, _flags in templates}
     assert max(evaluated.values()) == 1
 
 
@@ -574,30 +603,6 @@ def _template_simple(space, name):
                if flags.open and not t.is_empty())
 
 
-def _omega_skeletons(seed, count, max_templates=300):
-    """Distinct seeded random skeletons of at most 2 nodes, one of them
-    omega, with small template spaces (the template search is slow)."""
-    import random
-
-    from topolab.skeleton import (Node, SkeletonError, all_symbolic_sets,
-                                  random_finite_skeleton)
-
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        base = random_finite_skeleton(rng)
-        i = rng.randrange(len(base.nodes))
-        nodes = list(base.nodes)
-        nodes[i] = Node(nodes[i].name, None, nodes[i].mode, nodes[i].block)
-        try:
-            sk = SkeletonSpace(tuple(nodes), base.rels)
-        except SkeletonError:
-            continue
-        if sk not in out and len(all_symbolic_sets(sk)) <= max_templates:
-            out.append(sk)
-    return out
-
-
 def _finite_probe_spaces(sk):
     """The explicit realizations of sk with every omega node at 2 and at 3
     copies, where they fit the expansion cap."""
@@ -624,7 +629,7 @@ def test_top_class_rules_match_the_template_search_on_the_catalog(name):
 
 def test_top_class_rules_match_the_template_search_on_random_omega_skeletons():
     checked = 0
-    for sk in _omega_skeletons(seed=3, count=10):
+    for sk in omega_skeletons(seed=3, count=10):
         for prop in ("resolvable", "hyperconnected"):
             assert check_simple(sk, prop) is _template_simple(sk, prop), (
                 format_skel(sk), prop)

@@ -1,19 +1,26 @@
 """Skeleton validation, symbolic operators, and the expand/abstract oracle."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from topolab.core import build_space, sierpinski
+from topolab.core import bits, build_space, sierpinski
 from topolab.skeleton import (
+    _FIN0,
     BLOCKS,
     FIN,
     INF,
+    Config,
     Node,
     SkeletonError,
     SkeletonOverflow,
     SkeletonSpace,
+    SymbolicAmbiguity,
     SymbolicSet,
+    _marked_config,
+    _marked_point_slot,
+    _marked_up_slot,
     abstract,
     all_symbolic_sets,
     catalog,
@@ -31,6 +38,8 @@ from topolab.skeleton import (
     sym_classify,
     sym_operator,
 )
+
+from conftest import omega_skeletons
 
 OPS_VS_CORE = {
     "int": "interior",
@@ -360,6 +369,124 @@ def test_classify_oracle_agreement(seed):
         for sym in small_sets(sk):
             mask = instantiate(sk, labels, sym)
             assert sym_classify(sk, sym) == fs.classify(mask), (sk, str(sym))
+
+
+# -- the down-closure kernel against the per-element one it replaced -------------
+
+
+def _card_nonzero(c):
+    """True / False / None (indeterminate)."""
+    if c == 0:
+        return False
+    if c == _FIN0:
+        return None
+    return True
+
+
+def _touch_info(cfg, slot):
+    definite = set()
+    maybe = set()
+    for i, node_groups in enumerate(cfg.groups):
+        for card, pats, _marked in node_groups:
+            pat = pats[slot]
+            if not pat:
+                continue
+            nz = _card_nonzero(card)
+            if nz is True:
+                for e in bits(pat):
+                    definite.add((i, e))
+            elif nz is None:
+                for e in bits(pat):
+                    maybe.add((i, e))
+    return definite, maybe - definite
+
+
+def _reference_downclose(cfg, slot, down_same, down_cross):
+    """Per-node patterns of the down-closure of ``slot``, one dict lookup
+    per touched (node, element): the oracle for the pattern tables."""
+    definite, maybe = _touch_info(cfg, slot)
+    uniform = [0] * len(cfg.groups)
+    for i in range(len(cfg.groups)):
+        for j, f in definite:
+            uniform[i] |= down_cross.get((i, (j, f)), 0)
+    maybe_uniform = [0] * len(cfg.groups)
+    for i in range(len(cfg.groups)):
+        for j, f in maybe:
+            maybe_uniform[i] |= down_cross.get((i, (j, f)), 0)
+    out = []
+    for i, node_groups in enumerate(cfg.groups):
+        pats = []
+        for card, gpats, _marked in node_groups:
+            pat = gpats[slot]
+            new = uniform[i]
+            for e in bits(pat):
+                new |= down_same[i, e]
+            if maybe_uniform[i] & ~new:
+                raise SymbolicAmbiguity("closure depends on an indeterminate copy count")
+            pats.append(new)
+        out.append(pats)
+    return out
+
+
+def _check_downclose(cfg, slot, outcomes):
+    """cl and delta-cl of ``slot`` agree with the reference, patterns and
+    ambiguity both; ``outcomes`` counts closures and ambiguities."""
+    for op, masks in (("op_cl", cfg.space.down_masks),
+                      ("op_cl_delta", cfg.space.down_masks_s)):
+        try:
+            want = _reference_downclose(cfg, slot, *masks)
+        except SymbolicAmbiguity:
+            want = "ambiguous"
+        try:
+            new = getattr(cfg, op)(slot)
+            got = [[g[1][new] for g in node_groups] for node_groups in cfg.groups]
+        except SymbolicAmbiguity:
+            got = "ambiguous"
+        assert got == want, (str(cfg.space), op, cfg.groups, slot)
+        outcomes[got == "ambiguous"] += 1
+
+
+def _kernel_spaces():
+    names = [n for n in catalog_names() if isinstance(catalog(n).space, SkeletonSpace)]
+    return [catalog(n).space for n in names] + omega_skeletons(seed=11, count=12)
+
+
+def test_downclose_tables_match_the_reference_on_every_template():
+    outcomes = Counter()
+    for sk in _kernel_spaces():
+        for t in all_symbolic_sets(sk):
+            cfg = Config.of(sk, t)
+            _check_downclose(cfg, 0, outcomes)
+            _check_downclose(cfg, cfg.op_not(0), outcomes)
+    assert outcomes[False] > 1000 and not outcomes[True]
+
+
+def test_downclose_tables_match_the_reference_on_indeterminate_counts():
+    """Marked configurations split a FIN group into the marked copy and a
+    possibly empty rest (``_FIN0``): the ambiguity test must agree too."""
+    rng = random.Random(5)
+    outcomes = Counter()
+    for sk in _kernel_spaces():
+        for t in all_symbolic_sets(sk):
+            for i, pairs in enumerate(t.counts):
+                for pat, card in pairs:
+                    if card != FIN:
+                        continue
+                    for e in range(sk.nodes[i].size):
+                        cfg = _marked_config(sk, t, i, pat, e)
+                        assert any(g[0] == _FIN0 for g in cfg.groups[i])
+                        x = _marked_point_slot(cfg, i, e)
+                        up = _marked_up_slot(cfg, i, e)
+                        slots = [0, x, up, cfg.op_not(0), cfg.op_diff(0, x),
+                                 cfg.op_diff(up, x)]
+                        for _ in range(4):
+                            slots.append(cfg.append_patterns(
+                                [[rng.randrange(full + 1) for _g in node_groups]
+                                 for node_groups, full in zip(cfg.groups,
+                                                              sk.full_patterns)]))
+                        for slot in slots:
+                            _check_downclose(cfg, slot, outcomes)
+    assert outcomes[False] > 1000 and outcomes[True] > 50
 
 
 def test_omega_probe_stability():

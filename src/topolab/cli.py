@@ -101,22 +101,29 @@ def _parse_set(space, text: str) -> int:
         raise CliError(f"bad set literal {text!r}: {err}") from err
 
 
+def _pattern_elements(pat: str) -> tuple[int, ...]:
+    """``"e0,e2"`` -> (0, 2); ``""`` and ``"-"`` are the empty pattern."""
+    if pat in ("", "-"):
+        return ()
+    return tuple(int(tok.lstrip("e")) for tok in pat.split(","))
+
+
 def _parse_symbolic_set(space, path: str) -> SymbolicSet:
     if not isinstance(space, SkeletonSpace):
         raise CliError("--symbolic-set is for skeletons; use --set")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    # ValueError: bad JSON or UTF-8; RecursionError: nesting too deep to decode
+    except (OSError, ValueError, RecursionError) as err:
         raise CliError(f"cannot read symbolic set {path}: {err}") from err
-    spec = {}
+    if not (isinstance(data, dict)
+            and all(isinstance(pats, dict) for pats in data.values())):
+        raise CliError(f"bad symbolic set {path}: want a JSON object of "
+                       "node name -> {pattern: count} objects")
     try:
-        for node, pats in data.items():
-            spec[node] = {}
-            for pat, card in pats.items():
-                elems = () if pat in ("", "-") else tuple(
-                    int(tok.lstrip("e")) for tok in pat.split(","))
-                spec[node][elems] = card if isinstance(card, int) else str(card)
+        spec = {node: {_pattern_elements(pat): card for pat, card in pats.items()}
+                for node, pats in data.items()}
         return SymbolicSet.from_names(space, spec)
     except (SkeletonError, ValueError) as err:
         raise CliError(f"bad symbolic set: {err}") from err
@@ -251,6 +258,8 @@ def _cmd_verify(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise CliError(f"--jobs must be 1..{cpus} (the CPU count)")
+    if args.samples < 1:
+        raise CliError(f"--samples must be at least 1, not {args.samples}")
     try:
         universe = Universe.parse(args.universe)
     except ValueError as err:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class TopologyError(ValueError):
@@ -55,6 +56,24 @@ def up_sets(rows) -> tuple[int, ...]:
     for row in rows:
         opens |= {o | row for o in opens}
     return _canon(opens)
+
+
+class TopClasses(NamedTuple):
+    classes: frozenset  # each top class, as a mask
+    top: int  # Top: the union of the top classes
+    single: int  # S: the union of the one-point top classes
+
+
+def top_classes(rows) -> TopClasses:
+    """The top classes of the preorder whose up-set rows are ``rows``.
+
+    A point x is top when every y >= x has y <= x; its top class [x] = up(x)
+    is then open.  In a space of finite height every point lies below a top
+    class.  A finite space reads its ``min_nbhd``, a skeleton the rows of its
+    validation probe (``SkeletonSpace.top_patterns``)."""
+    classes = frozenset(r for r in rows if all(rows[y] == r for y in bits(r)))
+    # distinct top classes are disjoint, so their sum is their union
+    return TopClasses(classes, sum(classes), sum(r for r in classes if r & (r - 1) == 0))
 
 
 CLASS_FLAG_NAMES = (
@@ -220,6 +239,13 @@ class FiniteSpace:
                 m |= 1 << x
         return m
 
+    def up(self, a: int) -> int:
+        """The smallest open set holding ``a``: the union of its rows."""
+        m = 0
+        for x in bits(a):
+            m |= self.min_nbhd[x]
+        return m
+
     def consolidation(self, a: int) -> int:
         """int(cl(a)): the largest open set a dense-ish set fills."""
         return self.interior(self.closure(a))
@@ -304,17 +330,24 @@ class FiniteSpace:
     def _preopen_pcl(self) -> tuple[tuple[int, int], ...]:
         return tuple((v, self.preclosure(v)) for v in self.preopen_masks)
 
+    @cached_property
+    def tops(self) -> TopClasses:
+        return top_classes(self.min_nbhd)
+
     def pre_theta_closure(self, a: int) -> int:
+        """pcl_theta(a) = a | cl((Top & int a) | (S & up a)).
+
+        A set is preopen iff every top class above each of its points meets
+        it, so the smallest preopen sets around x are {x} plus one point from
+        each top class above x.  For x outside ``a`` one of them has a
+        preclosure U | cl(int U) missing ``a`` (int U holds at most x and the
+        one-point tops above x, which every such U holds) unless a top class
+        above x lies inside ``a`` or a one-point top above x lies in up(a).
+        """
         self.check_fits(a)
-        m = 0
-        for x in range(self.n):
-            xbit = 1 << x
-            for v, pcl_v in self._preopen_pcl:
-                if v & xbit and not pcl_v & a:
-                    break
-            else:
-                m |= xbit
-        return m
+        tops = self.tops
+        return a | self.closure(tops.top & self.interior(a)
+                                | tops.single & self.up(a))
 
     # -- the memo ------------------------------------------------------------
 
@@ -349,9 +382,6 @@ class FiniteSpace:
         semi_closed = int_cl & ~a == 0
         pth = self.pre_theta_closure(a)
         pth_c = self.pre_theta_closure(self.full ^ a)
-        up_a = 0  # the smallest open set holding a
-        for x in bits(a):
-            up_a |= self.min_nbhd[x]
         return ClassFlags(
             open=int_a == a,
             closed=cl_a == a,
@@ -370,7 +400,7 @@ class FiniteSpace:
             pre_theta_closed=pth == a,
             dense=cl_a == self.full,
             nowhere_dense=int_cl == 0,
-            locally_closed=up_a & cl_a == a,
+            locally_closed=self.up(a) & cl_a == a,
             locally_dense=preopen,
         )
 

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from topolab.core import FiniteSpace, bits, points_of
+from topolab.core import FiniteSpace, bits, points_of, top_classes
 from topolab.skeleton import (
     INF,
     Config,
@@ -422,8 +422,8 @@ def _top_class_simple(rows, name: str) -> bool:
     """Decide t0, resolvable, strongly irresolvable or hyperconnected from
     the up-set rows of an Alexandrov space.
 
-    A point x is top when every y >= x has y <= x; its top class [x] = up(x)
-    is then open.  When every nonempty open set contains a top class, a set
+    Top classes are those of ``core.top_classes``, and they are open.
+    When every nonempty open set contains a top class, a set
     is dense iff it meets every top class, so the space is resolvable iff
     every top class has at least 2 points, strongly irresolvable iff every
     top class is one point (an open top class of 2 or more points is a
@@ -445,7 +445,7 @@ def _top_class_simple(rows, name: str) -> bool:
     """
     if name == "t0":
         return len(set(rows)) == len(rows)
-    tops = {r for r in rows if all(rows[y] == r for y in bits(r))}
+    tops = top_classes(rows).classes
     if name == "resolvable":
         return all(r.bit_count() > 1 for r in tops)
     if name == "strongly-irresolvable":
@@ -487,41 +487,33 @@ def _finite_simple(space: FiniteSpace, name: str) -> bool:
 
 def _exists_separating_preopen(space, f_set, node, group_pat, elem) -> bool:
     """Is there a preopen V containing the given set with a generic point
-    of the (node, group, elem) class outside pcl(V)?"""
-    masks_per_node = [range(1 << nd.size) for nd in space.nodes]
-    total = 1
-    for r in masks_per_node:
-        total *= len(r)
-    if total > 4096:
+    of the (node, group, elem) class outside pcl(V)?  V is the set joined
+    with one element mask per node, less the point.  Masks that separated
+    before on this space go first, so that the number of trials does not
+    follow the order of the nodes.
+    """
+    if sum(nd.size for nd in space.nodes) > 12:  # 4096 masks
         raise SkeletonOverflow("separation search too large")
-    for choice in itertools.product(*masks_per_node):
-        cfg = _marked_config(space, f_set, node, group_pat, elem)
-        uniform = cfg.append_patterns(
-            [[choice[i]] * len(node_groups) for i, node_groups in enumerate(cfg.groups)]
-        )
-        v = cfg.op_or(0, uniform)
-        # optionally strip the marked point itself
-        for strip in (False, True):
-            vv = v
-            if strip:
-                x = []
-                for i, node_groups in enumerate(cfg.groups):
-                    x.append([
-                        (1 << elem) if (m and i == node) else 0
-                        for _, _, m in node_groups
-                    ])
-                xs = cfg.append_patterns(x)
-                vv = cfg.op_diff(v, xs)
-            if not cfg.slot_subset(0, vv):
+    cfg = _marked_config(space, f_set, node, group_pat, elem)
+    point = cfg.append_patterns([
+        [(1 << elem) if (m and i == node) else 0 for _, _, m in node_groups]
+        for i, node_groups in enumerate(cfg.groups)
+    ])
+    base = cfg.slots
+    found = space.recall(("separators",), dict)  # an insertion-ordered set
+    masks = itertools.product(*(range(1 << nd.size) for nd in space.nodes))
+    for choice in itertools.chain(list(found), (c for c in masks if c not in found)):
+        cfg.truncate(base)
+        v = cfg.op_diff(cfg.op_or(0, cfg.op_const(choice)), point)
+        try:
+            if not cfg.slot_subset(v, cfg.op_int(cfg.op_cl(v))):
                 continue
-            try:
-                if not cfg.slot_subset(vv, cfg.op_int(cfg.op_cl(vv))):
-                    continue
-                if _marked_pattern(cfg, node, cfg.op_pcl(vv)) >> elem & 1:
-                    continue
-            except SymbolicAmbiguity:
+            if _marked_pattern(cfg, node, cfg.op_pcl(v)) >> elem & 1:
                 continue
-            return True
+        except SymbolicAmbiguity:
+            continue
+        found[choice] = None
+        return True
     return False
 
 

@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from topolab.core import MAX_EXPLICIT_POINTS, FiniteSpace, bits, ClassFlags
+from topolab.core import MAX_EXPLICIT_POINTS, FiniteSpace, bits, ClassFlags, top_classes
 
 FIN = "fin"
 INF = "inf"
@@ -47,7 +47,7 @@ class SymbolicAmbiguity(RuntimeError):
 
 
 class SymbolicIncomplete(RuntimeError):
-    """A bounded symbolic search could not settle a pre-theta decision."""
+    """A bounded symbolic search could not settle a decision."""
 
 
 BLOCKS = {
@@ -125,6 +125,18 @@ def _card_add(a, b):
     if FIN in (a, b) or _FIN0 in (a, b):
         return FIN if FIN in (a, b) or isinstance(a, int) or isinstance(b, int) else _FIN0
     return a + b
+
+
+def _check_count(nd: Node, card):
+    """A count is an int >= 0 or, on an omega node, FIN or INF."""
+    if type(card) is int:
+        if card >= 0:
+            return
+    elif card in (FIN, INF):
+        if nd.is_omega:
+            return
+        raise SkeletonError(f"node {nd.name}: {card} count on a finite node")
+    raise SkeletonError(f"node {nd.name}: bad count {card!r}")
 
 
 def _or_table(masks) -> tuple[int, ...]:
@@ -329,14 +341,14 @@ class SkeletonSpace:
         return self._down_masks(self._s_tables)
 
     def _pattern_tables(self, masks):
-        """``masks`` indexed by pattern: per node i, the same-copy down-mask
-        of every pattern of i; per node pair (i, j), the cross-copy
-        down-mask on i of every pattern of j."""
-        down_same, down_cross = masks
+        """``masks`` (down or up masks) indexed by pattern: per node i, the
+        same-copy mask of every pattern of i; per node pair (i, j), the
+        cross-copy mask on i of every pattern of j."""
+        same_masks, cross_masks = masks
         sizes = [nd.size for nd in self.nodes]
-        same = tuple(_or_table([down_same[i, e] for e in range(k)])
+        same = tuple(_or_table([same_masks[i, e] for e in range(k)])
                      for i, k in enumerate(sizes))
-        cross = tuple(tuple(_or_table([down_cross[i, (j, f)] for f in range(k)])
+        cross = tuple(tuple(_or_table([cross_masks[i, (j, f)] for f in range(k)])
                             for j, k in enumerate(sizes)) for i in range(len(sizes)))
         return same, cross
 
@@ -354,20 +366,34 @@ class SkeletonSpace:
 
     @cached_property
     def up_masks(self):
-        """up_same[i, e] and up_cross[(j, (i, e))]: classes above (i, e)."""
-        same, cross = self._tables
-        up_same = {}
-        up_cross = {}
-        for i, ni in enumerate(self.nodes):
-            for e in range(ni.size):
-                up_same[i, e] = sum(
-                    1 << f for f in range(ni.size) if same[(i, e), (i, f)]
-                )
-                for j, nj in enumerate(self.nodes):
-                    up_cross[(j, (i, e))] = sum(
-                        1 << f for f in range(nj.size) if cross[(i, e), (j, f)]
-                    )
-        return up_same, up_cross
+        """The down masks of the reversed order: up_same[i, e] and
+        up_cross[(j, (i, e))] hold the classes above (i, e)."""
+        return self._down_masks(
+            tuple({(y, x): v for (x, y), v in t.items()} for t in self._tables))
+
+    @cached_property
+    def up_tables(self):
+        return self._pattern_tables(self.up_masks)
+
+    @cached_property
+    def top_patterns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per node, the block elements whose points lie in Top, and those in
+        S (``core.top_classes``), read from copy 0 of each node on the probe.
+
+        Both are class-uniform, and the probe is exact for them for the
+        reasons ``properties._top_class_simple`` gives: relations are
+        class-uniform, so whether a point is top, and whether another point
+        is related to it both ways (its top class then has two points or
+        more), depends only on its class and on whether its node has another
+        copy, which the probe keeps."""
+        tops = top_classes(self.probe_rows)
+        top, single = [], []
+        offset = 0
+        for nd, copies in zip(self.nodes, self.probe_copies()):
+            top.append(tops.top >> offset & nd.full_pattern)
+            single.append(tops.single >> offset & nd.full_pattern)
+            offset += copies * nd.size
+        return tuple(top), tuple(single)
 
     @property
     def finite(self) -> bool:
@@ -380,8 +406,11 @@ class SkeletonSpace:
         return {}
 
     def recall(self, key, compute):
-        """``compute()``, memoized under ``key``; a SymbolicIncomplete or
-        SymbolicAmbiguity is memoized too and raised again on each lookup."""
+        """``compute()``, memoized under ``key``.  A SymbolicIncomplete or
+        SymbolicAmbiguity is memoized too and raised again on each lookup,
+        so an Unknown never turns definite.  The operators of
+        ``sym_operator``, the pre-theta closure included, raise neither on a
+        public set: it has no indeterminate (``_FIN0``) group."""
         memo = self.memo
         if key not in memo:
             try:
@@ -420,50 +449,41 @@ class SymbolicSet:
             for pat, card in pairs:
                 if pat & ~nd.full_pattern:
                     raise SkeletonError(f"pattern out of range on node {nd.name}")
-                if card == _FIN0:
-                    raise SkeletonError("indeterminate count in a public set")
+                _check_count(nd, card)
                 merged[pat] = _card_add(merged.get(pat, 0), card)
-            total = 0
-            has_inf = False
-            for pat, card in merged.items():
-                if card == INF:
-                    has_inf = True
-                elif card == FIN:
-                    if not nd.is_omega:
-                        raise SkeletonError("FIN count on a finite node")
-                elif isinstance(card, int):
-                    total += card
-                else:
-                    raise SkeletonError(f"bad count {card!r}")
-            if nd.is_omega:
-                if not has_inf:
-                    raise SkeletonError(
-                        f"omega node {nd.name}: pattern counts must include INF"
-                    )
-            else:
-                if has_inf or total != nd.card:
-                    raise SkeletonError(
-                        f"node {nd.name}: counts must partition {nd.card} copies"
-                    )
+            if nd.is_omega and INF not in merged.values():
+                raise SkeletonError(f"omega node {nd.name}: counts must include INF")
+            if not nd.is_omega and sum(merged.values()) != nd.card:
+                raise SkeletonError(f"node {nd.name}: counts must sum to {nd.card}")
             norm.append(tuple(sorted((p, c) for p, c in merged.items() if c != 0)))
         object.__setattr__(self, "counts", tuple(norm))
 
     @staticmethod
     def from_names(space: SkeletonSpace, spec: dict) -> "SymbolicSet":
         """Build from {node name: {elem tuple or mask: count}}; the empty
-        pattern absorbs the unspecified remainder."""
+        pattern absorbs the unspecified remainder.  A count is an int >= 0
+        or, on an omega node, FIN or INF; every name must be a node."""
+        if not isinstance(spec, dict):
+            raise SkeletonError("a symbolic set maps node names to pattern counts")
+        for name, given in spec.items():
+            space.node_index(name)
+            if not isinstance(given, dict):
+                raise SkeletonError(f"node {name}: pattern counts must be a mapping")
         counts = []
-        for i, nd in enumerate(space.nodes):
-            given = dict(spec.get(nd.name, {}))
+        for nd in space.nodes:
             pairs = {}
-            for key, card in given.items():
-                pat = key if isinstance(key, int) else sum(1 << e for e in key)
-                pairs[pat] = _card_add(pairs.get(pat, 0), card)
+            for key, card in spec.get(nd.name, {}).items():
+                _check_count(nd, card)
+                if not isinstance(key, int):
+                    if not all(0 <= e < nd.size for e in key):
+                        raise SkeletonError(f"node {nd.name}: no elements {key!r}")
+                    key = sum(1 << e for e in set(key))
+                pairs[key] = _card_add(pairs.get(key, 0), card)
             if nd.is_omega:
-                if not any(c == INF for c in pairs.values()):
+                if INF not in pairs.values():
                     pairs[0] = _card_add(pairs.get(0, 0), INF)
             else:
-                used = sum(c for c in pairs.values())
+                used = sum(pairs.values())
                 if used > nd.card:
                     raise SkeletonError(f"node {nd.name}: too many copies")
                 if nd.card - used:
@@ -564,6 +584,13 @@ class Config:
         self.slots += 1
         return self.slots - 1
 
+    def truncate(self, slots: int) -> None:
+        """Drop every slot from ``slots`` on, for the search's next trial."""
+        for node_groups in self.groups:
+            for _card, pats, _marked in node_groups:
+                del pats[slots:]
+        self.slots = slots
+
     # -- primitive ops (each appends its result to every group's patterns) --
 
     def op_not(self, slot: int) -> int:
@@ -591,7 +618,8 @@ class Config:
         return self._new_slot()
 
     def _op_downclose(self, slot: int, tables) -> int:
-        """Down-closure through pattern tables (``SkeletonSpace.down_tables``).
+        """Down-closure through pattern tables (``SkeletonSpace.down_tables``),
+        or up-closure through ``SkeletonSpace.up_tables``.
         Each node's patterns on copies that surely exist, and on copies that
         may not (``_FIN0``), are ORed into one mask apiece; the ambiguity
         test runs before anything is appended."""
@@ -627,6 +655,14 @@ class Config:
     def op_cl_delta(self, slot: int) -> int:
         return self._op_downclose(slot, self.space.down_tables_s)
 
+    def op_up(self, slot: int) -> int:
+        return self._op_downclose(slot, self.space.up_tables)
+
+    def op_const(self, patterns) -> int:
+        """New slot holding ``patterns[i]`` on every copy of node i."""
+        return self.append_patterns(
+            [[p] * len(node_groups) for node_groups, p in zip(self.groups, patterns)])
+
     def op_int(self, slot: int) -> int:
         return self.op_not(self.op_cl(self.op_not(slot)))
 
@@ -638,6 +674,15 @@ class Config:
 
     def op_consolidation(self, slot: int) -> int:
         return self.op_int(self.op_cl(slot))
+
+    def op_pcl_theta(self, slot: int) -> int:
+        """pcl_theta(a) = a | cl((Top & int a) | (S & up a)), the identity of
+        ``FiniteSpace.pre_theta_closure``, on the class-uniform Top and S of
+        ``SkeletonSpace.top_patterns``."""
+        top, single = (self.op_const(pats) for pats in self.space.top_patterns)
+        inner = self.op_and(top, self.op_int(slot))
+        upper = self.op_and(single, self.op_up(slot))
+        return self.op_or(slot, self.op_cl(self.op_or(inner, upper)))
 
     # -- slot predicates --
 
@@ -732,32 +777,6 @@ def _marked_config(space, a: SymbolicSet, node: int, group_pat: int, elem: int):
     raise SkeletonError("marked group not found")
 
 
-def _marked_point_slot(cfg: Config, node: int, elem: int) -> int:
-    """New slot holding exactly the marked point {x}."""
-    out = []
-    for i, node_groups in enumerate(cfg.groups):
-        pats = []
-        for card, gpats, marked in node_groups:
-            pats.append((1 << elem) if (marked and i == node) else 0)
-        out.append(pats)
-    return cfg.append_patterns(out)
-
-
-def _marked_up_slot(cfg: Config, node: int, elem: int) -> int:
-    """New slot holding up(x) for the marked point x."""
-    up_same, up_cross = cfg.space.up_masks
-    out = []
-    for i, node_groups in enumerate(cfg.groups):
-        pats = []
-        for card, gpats, marked in node_groups:
-            if marked and i == node:
-                pats.append(up_same[node, elem])
-            else:
-                pats.append(up_cross[(i, (node, elem))])
-        out.append(pats)
-    return cfg.append_patterns(out)
-
-
 def _marked_pattern(cfg: Config, node: int, slot: int) -> int:
     for card, gpats, marked in cfg.groups[node]:
         if marked:
@@ -765,158 +784,14 @@ def _marked_pattern(cfg: Config, node: int, slot: int) -> int:
     raise SkeletonError("no marked group")
 
 
-def _subpatterns(pat: int):
-    sub = pat
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & pat
-
-
-def _split_options(card, room_pat: int):
-    """Ways one group of copies can contribute to a candidate set.
-
-    Yields (parts, probe) where parts is a list of (subpattern-of-room,
-    count).  Exact counts are enumerated completely and soundly.  On
-    omega-node groups, INF splits are sound for every instantiation, but
-    splitting a FIN group is only a probe: whether such a witness exists
-    depends on the unknowable exact count, so a probe success must be
-    reported as indeterminate rather than True.
-    """
-    subs = list(_subpatterns(room_pat))
-    if isinstance(card, int):
-        def compose(remaining, idx):
-            if idx == len(subs) - 1:
-                yield [(subs[idx], remaining)] if remaining else []
-                return
-            for take in range(remaining + 1):
-                for rest in compose(remaining - take, idx + 1):
-                    yield ([(subs[idx], take)] if take else []) + rest
-
-        for parts in compose(card, 0):
-            yield parts, False
-        return
-    if card in (FIN, _FIN0):
-        for sub in subs:
-            yield [(sub, card)], False
-        for s1 in subs:
-            for s2 in subs:
-                if s1 != s2:
-                    yield [(s1, FIN), (s2, card)], True
-        return
-    for sub in subs:
-        yield [(sub, INF)], False
-    for s1 in subs:
-        for s2 in subs:
-            if s1 != s2:
-                yield [(s1, FIN), (s2, INF)], False
-                if s1 < s2:
-                    yield [(s1, INF), (s2, INF)], False
-
-
-def _pre_theta_member(space, b: SymbolicSet, node: int, group_pat: int, elem: int,
-                      budget: int = 60_000) -> bool:
-    """Is a generic point x of the given class/group in the pre-theta
-    interior of b, i.e. is there a preopen U containing x with pcl(U) <= b?
-    """
-    cfg = _marked_config(space, b, node, group_pat, elem)
-    x = _marked_point_slot(cfg, node, elem)
-    up = _marked_up_slot(cfg, node, elem)
-    b_slot = 0
-    # necessary: pcl({x}) <= b
-    if not cfg.slot_subset(cfg.op_pcl(x), b_slot):
-        return False
-    # candidate {x} itself
-    if cfg.slot_subset(x, cfg.op_int(cfg.op_cl(x))):
-        return True  # {x} preopen and pcl({x}) <= b already checked
-    # candidate U0 = largest preopen inside b & up(x)
-    room = cfg.op_and(b_slot, up)
-    u0 = cfg.op_pint(room)
-    if not _marked_pattern(cfg, node, u0) >> elem & 1:
-        return False  # no preopen subset of b around x at all
-    if cfg.slot_subset(cfg.op_pcl(u0), b_slot):
-        return True
-    # general search: per-group copy splits of U0, the marked copy pinned
-    # to contain x
-    group_keys = []  # (node index, b_pattern, marked group?)
-    options = []
-    total = 1
-    for i, node_groups in enumerate(cfg.groups):
-        for card, gpats, marked in node_groups:
-            if card == 0:
-                continue
-            room_pat = gpats[u0]
-            bpat = gpats[b_slot]
-            if marked and i == node:
-                seen = {}
-                for sub in _subpatterns(room_pat):
-                    seen[sub | (1 << elem)] = ([(sub | (1 << elem), 1)], False)
-                opts = list(seen.values())
-            else:
-                opts = list(_split_options(card, room_pat))
-            group_keys.append((i, bpat, marked and i == node))
-            options.append(opts)
-            total *= len(opts)
-    if total > budget:
-        raise SymbolicIncomplete("pre-theta split search budget exceeded")
-    probe_hit = False
-    for choice in itertools.product(*options):
-        groups = [[] for _ in space.nodes]
-        probe = False
-        for (i, bpat, is_marked), (parts, part_probe) in zip(group_keys, choice):
-            probe = probe or part_probe
-            for upat, cnt in parts:
-                groups[i].append([cnt, [bpat, upat], is_marked])
-        for i in range(len(space.nodes)):
-            if not groups[i]:
-                groups[i].append([0, [0, 0], False])
-        trial = Config(space, groups, 2)
-        u_slot = 1
-        try:
-            if not trial.slot_subset(u_slot, trial.op_int(trial.op_cl(u_slot))):
-                continue
-            if not trial.slot_subset(trial.op_pcl(u_slot), b_slot):
-                continue
-        except SymbolicAmbiguity:
-            continue
-        if not probe:
-            return True
-        probe_hit = True
-    if probe_hit:
-        raise SymbolicIncomplete(
-            "pre-theta decision depends on an indeterminate finite count"
-        )
-    return False
-
-
-def sym_pre_theta_interior(space, b: SymbolicSet) -> SymbolicSet:
-    counts = []
-    for i, nd in enumerate(space.nodes):
-        merged = {}
-        for pat, card in b.counts[i]:
-            new = 0
-            for e in bits(pat):
-                if _pre_theta_member(space, b, i, pat, e):
-                    new |= 1 << e
-            merged[new] = _card_add(merged.get(new, 0), card)
-        counts.append(tuple(sorted(merged.items())))
-    return SymbolicSet(space, counts)
-
-
 def sym_complement(space, a: SymbolicSet) -> SymbolicSet:
-    counts = []
-    for nd, pairs in zip(space.nodes, a.counts):
-        full = nd.full_pattern
-        merged = {}
-        for pat, card in pairs:
-            merged[pat ^ full] = _card_add(merged.get(pat ^ full, 0), card)
-        counts.append(tuple(sorted(merged.items())))
-    return SymbolicSet(space, counts)
+    cfg = Config.of(space, a)
+    return cfg.to_set(cfg.op_not(0))
 
 
 def sym_pre_theta_closure(space, a: SymbolicSet) -> SymbolicSet:
-    return sym_complement(space, sym_pre_theta_interior(space, sym_complement(space, a)))
+    cfg = Config.of(space, a)
+    return cfg.to_set(cfg.op_pcl_theta(0))
 
 
 def _recall_pre_theta_closure(space, a: SymbolicSet) -> SymbolicSet:
@@ -926,35 +801,27 @@ def _recall_pre_theta_closure(space, a: SymbolicSet) -> SymbolicSet:
     return space.recall(("pcl-theta", a.counts), lambda: sym_pre_theta_closure(space, a))
 
 
-_SIMPLE_OPS = {
-    "int": "op_int",
-    "cl": "op_cl",
-    "pcl": "op_pcl",
-    "scl": "op_scl",
-    "consolidation": "op_consolidation",
-    "delta-cl": "op_cl_delta",
+_OPS = {
+    "int": Config.op_int,
+    "cl": Config.op_cl,
+    "pcl": Config.op_pcl,
+    "scl": Config.op_scl,
+    "consolidation": Config.op_consolidation,
+    "delta-cl": Config.op_cl_delta,
+    "pint": Config.op_pint,
+    "delta-pint": lambda cfg, s: cfg.op_pint(s, delta=True),
+    "delta-pcl": lambda cfg, s: cfg.op_not(cfg.op_pint(cfg.op_not(s), delta=True)),
 }
 
 
 def sym_operator(space: SkeletonSpace, op: str, a: SymbolicSet) -> SymbolicSet:
     """Exact symbolic operator on a symbolic set."""
-    if op in _SIMPLE_OPS:
-        cfg = Config.of(space, a)
-        slot = getattr(cfg, _SIMPLE_OPS[op])(0)
-        return cfg.to_set(slot)
-    if op == "pint":
-        cfg = Config.of(space, a)
-        return cfg.to_set(cfg.op_pint(0))
-    if op == "delta-pint":
-        cfg = Config.of(space, a)
-        return cfg.to_set(cfg.op_pint(0, delta=True))
-    if op == "delta-pcl":
-        comp = sym_complement(space, a)
-        cfg = Config.of(space, comp)
-        return sym_complement(space, cfg.to_set(cfg.op_pint(0, delta=True)))
     if op == "pcl-theta":
         return sym_pre_theta_closure(space, a)
-    raise SkeletonError(f"unknown operator {op!r}")
+    if op not in _OPS:
+        raise SkeletonError(f"unknown operator {op!r}")
+    cfg = Config.of(space, a)
+    return cfg.to_set(_OPS[op](cfg, 0))
 
 
 def sym_classify(space: SkeletonSpace, a: SymbolicSet) -> ClassFlags:
@@ -980,7 +847,7 @@ def sym_classify(space: SkeletonSpace, a: SymbolicSet) -> ClassFlags:
     delta_preopen = cfg.slot_subset(s_a, s_intcld)
     delta_preclosed = cfg.slot_subset(comp, cfg.op_int(s_cld_c))
     pth = _recall_pre_theta_closure(space, a)
-    comp_set = sym_complement(space, a)
+    comp_set = cfg.to_set(comp)
     pth_c = _recall_pre_theta_closure(space, comp_set)
     return ClassFlags(
         open=cfg.slot_equal(s_a, s_int),

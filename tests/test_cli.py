@@ -295,3 +295,50 @@ def test_topolab_seed_env_default(monkeypatch):
     args = build_parser().parse_args(
         ["verify", "--claims", "T1", "--universe", "exhaustive:2"])
     assert args.seed == 0
+
+
+SYMBOLIC_SKEL = ("node n0 card omega mode antichain block antichain2\n"
+                 "node n1 card 2 mode antichain block antichain2\n")
+
+
+@pytest.mark.parametrize("text", [
+    "3",
+    "[1, 2]",
+    "null",
+    '{"n0": null}',
+    '{"n0": [1]}',
+    '{"zz": {"e0": 1}}',  # no such node
+    '{"n0": {"e0": "inf", "e1": -2}}',
+    '{"n1": {"e0": true}}',
+    '{"n1": {"e0": 3, "e1": -1}}',  # negative counts balancing to the card
+    '{"n1": {"e0": "inf"}}',  # an omega count on a finite node
+    '{"n1": {"e0": 1.0}}',
+    '{"n1": {"e2": 1}}',
+    '{"n1": {"x": 1}}',
+    '{"n0": {"e0": "fin?"}}',
+    "{",
+    b"\xff\xfe",
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+])
+def test_bad_symbolic_set_exit_three(capsys, tmp_path, text):
+    skel = tmp_path / "two.skel"
+    skel.write_text(SYMBOLIC_SKEL)
+    sset = tmp_path / "bad.json"
+    if isinstance(text, bytes):
+        sset.write_bytes(text)
+    else:
+        sset.write_text(text)
+    code, out, err = run(capsys, "ops", "--space", str(skel),
+                         "--symbolic-set", str(sset), "--op", "cl")
+    assert code == 3
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert out == ""
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_verify_samples_below_one_exit_three(capsys, samples):
+    code, out, err = run(capsys, "verify", "--claims", "T1",
+                         "--universe", "exhaustive:2", "--samples", samples)
+    assert code == 3
+    assert err.startswith("error: --samples must be at least 1")
+    assert out == ""

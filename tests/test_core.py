@@ -280,6 +280,24 @@ def test_pre_theta_closure_contains_preclosure():
             assert sp.preclosure(a) & ~sp.pre_theta_closure(a) == 0
 
 
+def _scanned_pre_theta_closure(sp, a):
+    """The points every preopen neighbourhood of which has a preclosure
+    meeting ``a``: the definition, scanned over ``_preopen_pcl``."""
+    return sum(1 << x for x in range(sp.n)
+               if all(pcl_v & a for v, pcl_v in sp._preopen_pcl if v >> x & 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pre_theta_closure_identity_matches_the_preopen_scan(n):
+    for sp in all_spaces(n):
+        for a in range(sp.full + 1):
+            assert sp.pre_theta_closure(a) == _scanned_pre_theta_closure(sp, a), (
+                sp, a)
+        for bad in (-1, sp.full + 1):
+            with pytest.raises(TopologyError):
+                sp.pre_theta_closure(bad)
+
+
 # -- classification -----------------------------------------------------------
 
 

@@ -675,3 +675,53 @@ def test_strongly_irresolvable_where_the_restriction_search_took_minutes(text):
     assert time.perf_counter() - start < 1.0  # the restriction loop took 10 to 299 s
     probe, _labels = expand(finite_probe(sk, 2))
     assert _scan_simple(probe, "strongly-irresolvable") is True
+
+
+def _separating_preopen_by_product(space, f_set, node, group_pat, elem) -> bool:
+    """Reference for properties._exists_separating_preopen: every element
+    mask per node in product order, each with and without the marked point,
+    on a fresh configuration."""
+    import itertools
+
+    from topolab.skeleton import SymbolicAmbiguity, _marked_config, _marked_pattern
+
+    for choice in itertools.product(*[range(1 << nd.size) for nd in space.nodes]):
+        cfg = _marked_config(space, f_set, node, group_pat, elem)
+        v = cfg.op_or(0, cfg.op_const(choice))
+        point = cfg.append_patterns([
+            [(1 << elem) if (m and i == node) else 0 for _, _, m in node_groups]
+            for i, node_groups in enumerate(cfg.groups)])
+        for vv in (v, cfg.op_diff(v, point)):
+            if not cfg.slot_subset(0, vv):
+                continue
+            try:
+                if not cfg.slot_subset(vv, cfg.op_int(cfg.op_cl(vv))):
+                    continue
+                if _marked_pattern(cfg, node, cfg.op_pcl(vv)) >> elem & 1:
+                    continue
+            except SymbolicAmbiguity:
+                continue
+            return True
+    return False
+
+
+def test_separation_search_matches_the_product_scan_on_random_omega_skeletons():
+    from topolab.properties import _exists_separating_preopen
+
+    calls = separated = 0
+    for sk in omega_skeletons(seed=11, count=10):
+        sk = parse_skel(format_skel(sk))  # a cold memo: no separators found yet
+        for f_set, flags in classified_templates(sk):
+            if not flags.preclosed:
+                continue
+            for i, nd in enumerate(sk.nodes):
+                for pat, card in f_set.counts[i]:
+                    for e in range(nd.size):
+                        if card == 0 or pat >> e & 1:
+                            continue
+                        want = _separating_preopen_by_product(sk, f_set, i, pat, e)
+                        assert _exists_separating_preopen(sk, f_set, i, pat, e) is want, (
+                            format_skel(sk), f_set.counts, i, pat, e)
+                        calls += 1
+                        separated += want
+    assert 0 < separated < calls

@@ -1,5 +1,6 @@
 """Skeleton validation, symbolic operators, and the expand/abstract oracle."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -17,10 +18,11 @@ from topolab.skeleton import (
     SkeletonOverflow,
     SkeletonSpace,
     SymbolicAmbiguity,
+    SymbolicIncomplete,
     SymbolicSet,
+    _card_add,
     _marked_config,
-    _marked_point_slot,
-    _marked_up_slot,
+    _marked_pattern,
     abstract,
     all_symbolic_sets,
     catalog,
@@ -36,7 +38,9 @@ from topolab.skeleton import (
     skeleton_product,
     skeletonize,
     sym_classify,
+    sym_complement,
     sym_operator,
+    sym_pre_theta_closure,
 )
 
 from conftest import omega_skeletons
@@ -429,10 +433,12 @@ def _reference_downclose(cfg, slot, down_same, down_cross):
 
 
 def _check_downclose(cfg, slot, outcomes):
-    """cl and delta-cl of ``slot`` agree with the reference, patterns and
-    ambiguity both; ``outcomes`` counts closures and ambiguities."""
+    """cl, delta-cl and the up-closure of ``slot`` agree with the reference,
+    patterns and ambiguity both; ``outcomes`` counts closures and
+    ambiguities."""
     for op, masks in (("op_cl", cfg.space.down_masks),
-                      ("op_cl_delta", cfg.space.down_masks_s)):
+                      ("op_cl_delta", cfg.space.down_masks_s),
+                      ("op_up", cfg.space.up_masks)):
         try:
             want = _reference_downclose(cfg, slot, *masks)
         except SymbolicAmbiguity:
@@ -461,6 +467,32 @@ def test_downclose_tables_match_the_reference_on_every_template():
     assert outcomes[False] > 1000 and not outcomes[True]
 
 
+def _marked_point_slot(cfg: Config, node: int, elem: int) -> int:
+    """New slot holding exactly the marked point {x}."""
+    out = []
+    for i, node_groups in enumerate(cfg.groups):
+        pats = []
+        for card, gpats, marked in node_groups:
+            pats.append((1 << elem) if (marked and i == node) else 0)
+        out.append(pats)
+    return cfg.append_patterns(out)
+
+
+def _marked_up_slot(cfg: Config, node: int, elem: int) -> int:
+    """New slot holding up(x) for the marked point x."""
+    up_same, up_cross = cfg.space.up_masks
+    out = []
+    for i, node_groups in enumerate(cfg.groups):
+        pats = []
+        for card, gpats, marked in node_groups:
+            if marked and i == node:
+                pats.append(up_same[node, elem])
+            else:
+                pats.append(up_cross[(i, (node, elem))])
+        out.append(pats)
+    return cfg.append_patterns(out)
+
+
 def test_downclose_tables_match_the_reference_on_indeterminate_counts():
     """Marked configurations split a FIN group into the marked copy and a
     possibly empty rest (``_FIN0``): the ambiguity test must agree too."""
@@ -487,6 +519,171 @@ def test_downclose_tables_match_the_reference_on_indeterminate_counts():
                         for slot in slots:
                             _check_downclose(cfg, slot, outcomes)
     assert outcomes[False] > 1000 and outcomes[True] > 50
+
+
+# -- the pre-theta split search, kept as the oracle for the closed form ----------
+#
+# Pre-theta interior membership of a generic point, decided by searching copy
+# splits of the largest preopen set around it: a check of the identity in
+# ``Config.op_pcl_theta`` that does not use it.
+
+
+def _subpatterns(pat: int):
+    sub = pat
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & pat
+
+
+def _split_options(card, room_pat: int):
+    """Ways one group of copies can contribute to a candidate set.
+
+    Yields (parts, probe) where parts is a list of (subpattern-of-room,
+    count).  Exact counts are enumerated completely and soundly.  On
+    omega-node groups, INF splits are sound for every instantiation, but
+    splitting a FIN group is only a probe: whether such a witness exists
+    depends on the unknowable exact count, so a probe success must be
+    reported as indeterminate rather than True.
+    """
+    subs = list(_subpatterns(room_pat))
+    if isinstance(card, int):
+        def compose(remaining, idx):
+            if idx == len(subs) - 1:
+                yield [(subs[idx], remaining)] if remaining else []
+                return
+            for take in range(remaining + 1):
+                for rest in compose(remaining - take, idx + 1):
+                    yield ([(subs[idx], take)] if take else []) + rest
+
+        for parts in compose(card, 0):
+            yield parts, False
+        return
+    if card in (FIN, _FIN0):
+        for sub in subs:
+            yield [(sub, card)], False
+        for s1 in subs:
+            for s2 in subs:
+                if s1 != s2:
+                    yield [(s1, FIN), (s2, card)], True
+        return
+    for sub in subs:
+        yield [(sub, INF)], False
+    for s1 in subs:
+        for s2 in subs:
+            if s1 != s2:
+                yield [(s1, FIN), (s2, INF)], False
+                if s1 < s2:
+                    yield [(s1, INF), (s2, INF)], False
+
+
+def _pre_theta_member(space, b: SymbolicSet, node: int, group_pat: int, elem: int,
+                      budget: int = 60_000) -> bool:
+    """Is a generic point x of the given class/group in the pre-theta
+    interior of b, i.e. is there a preopen U containing x with pcl(U) <= b?
+    """
+    cfg = _marked_config(space, b, node, group_pat, elem)
+    x = _marked_point_slot(cfg, node, elem)
+    up = _marked_up_slot(cfg, node, elem)
+    b_slot = 0
+    # necessary: pcl({x}) <= b
+    if not cfg.slot_subset(cfg.op_pcl(x), b_slot):
+        return False
+    # candidate {x} itself
+    if cfg.slot_subset(x, cfg.op_int(cfg.op_cl(x))):
+        return True  # {x} preopen and pcl({x}) <= b already checked
+    # candidate U0 = largest preopen inside b & up(x)
+    room = cfg.op_and(b_slot, up)
+    u0 = cfg.op_pint(room)
+    if not _marked_pattern(cfg, node, u0) >> elem & 1:
+        return False  # no preopen subset of b around x at all
+    if cfg.slot_subset(cfg.op_pcl(u0), b_slot):
+        return True
+    # general search: per-group copy splits of U0, the marked copy pinned
+    # to contain x
+    group_keys = []  # (node index, b_pattern, marked group?)
+    options = []
+    total = 1
+    for i, node_groups in enumerate(cfg.groups):
+        for card, gpats, marked in node_groups:
+            if card == 0:
+                continue
+            room_pat = gpats[u0]
+            bpat = gpats[b_slot]
+            if marked and i == node:
+                seen = {}
+                for sub in _subpatterns(room_pat):
+                    seen[sub | (1 << elem)] = ([(sub | (1 << elem), 1)], False)
+                opts = list(seen.values())
+            else:
+                opts = list(_split_options(card, room_pat))
+            group_keys.append((i, bpat, marked and i == node))
+            options.append(opts)
+            total *= len(opts)
+    if total > budget:
+        raise SymbolicIncomplete("pre-theta split search budget exceeded")
+    probe_hit = False
+    for choice in itertools.product(*options):
+        groups = [[] for _ in space.nodes]
+        probe = False
+        for (i, bpat, is_marked), (parts, part_probe) in zip(group_keys, choice):
+            probe = probe or part_probe
+            for upat, cnt in parts:
+                groups[i].append([cnt, [bpat, upat], is_marked])
+        for i in range(len(space.nodes)):
+            if not groups[i]:
+                groups[i].append([0, [0, 0], False])
+        trial = Config(space, groups, 2)
+        u_slot = 1
+        try:
+            if not trial.slot_subset(u_slot, trial.op_int(trial.op_cl(u_slot))):
+                continue
+            if not trial.slot_subset(trial.op_pcl(u_slot), b_slot):
+                continue
+        except SymbolicAmbiguity:
+            continue
+        if not probe:
+            return True
+        probe_hit = True
+    if probe_hit:
+        raise SymbolicIncomplete(
+            "pre-theta decision depends on an indeterminate finite count"
+        )
+    return False
+
+
+def _split_search_interior(space, b: SymbolicSet) -> SymbolicSet:
+    counts = []
+    for i, nd in enumerate(space.nodes):
+        merged = {}
+        for pat, card in b.counts[i]:
+            new = 0
+            for e in bits(pat):
+                if _pre_theta_member(space, b, i, pat, e):
+                    new |= 1 << e
+            merged[new] = _card_add(merged.get(new, 0), card)
+        counts.append(tuple(sorted(merged.items())))
+    return SymbolicSet(space, counts)
+
+
+def _split_search_closure(space, a: SymbolicSet) -> SymbolicSet:
+    interior = _split_search_interior(space, sym_complement(space, a))
+    return sym_complement(space, interior)
+
+
+def test_pre_theta_closure_matches_the_split_search_on_every_template():
+    compared = 0
+    for sk in _kernel_spaces() + omega_skeletons(seed=3, count=12):
+        templates = all_symbolic_sets(sk)
+        # the complement of each template is a template, so it is compared too
+        assert ({sym_complement(sk, t).counts for t in templates}
+                == {t.counts for t in templates})
+        for t in templates:
+            assert sym_pre_theta_closure(sk, t) == _split_search_closure(sk, t), (
+                str(sk), str(t))
+            compared += 1
+    assert compared > 1500
 
 
 def test_omega_probe_stability():

@@ -79,7 +79,8 @@ def _load_space(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    # ValueError: not UTF-8
+    except (OSError, ValueError) as err:
         raise CliError(f"cannot read {path}: {err}") from err
     try:
         if path.endswith(".skel"):

@@ -41,6 +41,18 @@ def mask_of(points, n: int) -> int:
     return m
 
 
+def numeral(text: str) -> int | None:
+    """The value of a string of ASCII digits, or None for any other string
+    (``str.isdigit`` also accepts superscripts, which ``int`` rejects) and
+    for one longer than ``int`` converts."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # beyond the interpreter's digit limit
+        return None
+
+
 def points_of(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
@@ -524,9 +536,9 @@ def parse_topo(text: str) -> FiniteSpace:
         if parts[0] == "points":
             if n is not None:
                 raise TopologyError(f"line {lineno}: duplicate points declaration")
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            n = numeral(parts[1]) if len(parts) == 2 else None
+            if n is None or n < 1:
                 raise TopologyError(f"line {lineno}: expected 'points N' with N >= 1")
-            n = int(parts[1])
             if n > MAX_EXPLICIT_POINTS:  # before any set of n bits is built
                 raise TopologyError(f"line {lineno}: {n} points exceed the limit of "
                                     f"{MAX_EXPLICIT_POINTS} for explicit spaces")

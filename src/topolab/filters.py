@@ -4,7 +4,9 @@ and the per-clause forms of the filter characterizations of p-closedness
 
 Every filter base on a finite carrier has a smallest member (the base
 axiom forces one below any two members), so bases are canonicalized by
-that minimum; convergence and accumulation depend only on it.
+that minimum; convergence and accumulation depend only on it.  A base
+pre-theta-accumulates at x iff x lies in the pre-theta closure of each
+member, so accumulation reads a per-space table of those closures.
 """
 
 from __future__ import annotations
@@ -44,6 +46,16 @@ class FilterBase:
                     )
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
 
+    @classmethod
+    def from_closed(cls, space: FiniteSpace, members) -> "FilterBase":
+        """The base of distinct nonempty ``members`` of ``space`` that are
+        closed under pairwise intersection, as ``close()`` leaves them: the
+        axiom holds, so only the canonical order is applied."""
+        fb = cls.__new__(cls)
+        object.__setattr__(fb, "space", space)
+        object.__setattr__(fb, "members", tuple(sorted(members)))
+        return fb
+
     def minimum(self) -> int:
         m = self.members[0]
         for f in self.members:
@@ -68,12 +80,18 @@ def pre_theta_converges(fb: FilterBase, x: int) -> bool:
 
 
 def pre_theta_accumulates(fb: FilterBase, x: int) -> bool:
-    """Every preopen neighbourhood's preclosure meets every member."""
+    """Every preopen neighbourhood's preclosure meets every member: x lies
+    in the pre-theta closure of every member."""
     xbit = _point_bit(fb.space, x)
-    for v, pcl_v in fb.space._preopen_pcl:
-        if v & xbit and any(not (pcl_v & f) for f in fb.members):
-            return False
-    return True
+    pcl = pre_theta_closures(fb.space)
+    return all(pcl[f] & xbit for f in fb.members)
+
+
+def pre_theta_closures(space: FiniteSpace) -> tuple[int, ...]:
+    """pcl_theta(m) for every mask m, indexed by m; kept in the space's
+    memo under ``("pcl-theta",)``."""
+    return space.recall(("pcl-theta",), lambda: tuple(
+        map(space.pre_theta_closure, range(space.full + 1))))
 
 
 def _point_bit(space: FiniteSpace, x: int) -> int:
@@ -118,7 +136,7 @@ def antichain_filter_bases(space: FiniteSpace, rng: random.Random | None = None,
                     continue  # not an antichain
                 fam = close(combo)
                 if fam is not None:
-                    yield FilterBase(space, tuple(fam))
+                    yield FilterBase.from_closed(space, fam)
         return
     for _ in range(samples):
         k = rng.randint(1, 3)
@@ -127,7 +145,7 @@ def antichain_filter_bases(space: FiniteSpace, rng: random.Random | None = None,
             continue
         fam = close(combo)
         if fam is not None:
-            yield FilterBase(space, tuple(fam))
+            yield FilterBase.from_closed(space, fam)
 
 
 def is_strictly_finer(fine: FilterBase, coarse: FilterBase) -> bool:

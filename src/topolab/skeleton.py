@@ -25,7 +25,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from topolab.core import MAX_EXPLICIT_POINTS, FiniteSpace, bits, ClassFlags, top_classes
+from topolab.core import (MAX_EXPLICIT_POINTS, FiniteSpace, bits, ClassFlags, numeral,
+                          top_classes)
 
 FIN = "fin"
 INF = "inf"
@@ -1278,10 +1279,10 @@ def parse_skel(text: str) -> SkeletonSpace:
             name = parts[1]
             if parts[3] == "omega":
                 card = OMEGA
-            elif parts[3].isdigit() and int(parts[3]) >= 1:
-                card = int(parts[3])
             else:
-                raise SkeletonError(f"line {lineno}: bad card {parts[3]!r}")
+                card = numeral(parts[3])
+                if card is None or card < 1:
+                    raise SkeletonError(f"line {lineno}: bad card {parts[3]!r}")
             if parts[7] not in BLOCKS:
                 raise SkeletonError(f"line {lineno}: unknown block {parts[7]!r}")
             if name in index:
@@ -1298,9 +1299,9 @@ def parse_skel(text: str) -> SkeletonSpace:
                 nm, el = tok.rsplit(".", 1)
                 if nm not in index:
                     raise SkeletonError(f"line {lineno}: unknown node {nm!r}")
-                if not el.startswith("e") or not el[1:].isdigit():
+                e = numeral(el[1:]) if el.startswith("e") else None
+                if e is None:
                     raise SkeletonError(f"line {lineno}: bad element {el!r}")
-                e = int(el[1:])
                 if e >= nodes[index[nm]].size:
                     raise SkeletonError(f"line {lineno}: element {el!r} outside block")
                 ends.append((index[nm], e))

@@ -175,6 +175,27 @@ def test_missing_intersection_exit_three(capsys, tmp_path):
     assert err.startswith("error:") and "intersection" in err
 
 
+@pytest.mark.parametrize("name, content", [
+    ("bad.topo", b"points 2\nopen \xff\n"),
+    ("bad.skel", b"node n0 card \xff mode antichain block antichain2\n"),
+    # superscript two passes str.isdigit but not int()
+    ("super.topo", "points \u00b2\n".encode()),
+    ("super.skel", "node n0 card \u00b2 mode antichain block antichain2\n".encode()),
+    ("elem.skel", ("node n0 card 2 mode antichain block antichain2\n"
+                   "node n1 card 1 mode antichain block antichain2\n"
+                   "rel n0.e\u00b2 <= n1.e0\n").encode()),
+    # more digits than int() converts
+    ("long.topo", ("points " + "1" * 5000 + "\n").encode()),
+])
+def test_unreadable_space_file_exit_three(capsys, tmp_path, name, content):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    code, out, err = run(capsys, "check", "--space", str(bad), "--prop", "qhc")
+    assert code == 3
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert out == ""
+
+
 def test_unknown_property_rejected(capsys, sierpinski_file):
     code, _, err = run(capsys, "check", "--space", sierpinski_file,
                        "--prop", "nosuch")

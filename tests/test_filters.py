@@ -1,13 +1,15 @@
 """Filter-base convergence machinery and the four-clause characterizations."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from topolab.core import TopologyError, build_space, discrete
+from topolab.core import TopologyError, bits, build_space, discrete
 from topolab.filters import (
     SAMPLED_BASES,
     FilterBase,
+    _clause_c,
     antichain_filter_bases,
     check_t41,
     check_t43,
@@ -188,3 +190,128 @@ def test_clause_d_matches_the_recursive_reference(n):
         for target in range(sp.full + 1):
             assert _families_ok(sp, sets, target) == _families_ok_by_recursion(
                 sp, sets, target)
+
+
+# -- accumulation and clause (c) against the preopen scan -----------------------
+
+
+def _accumulates_by_scan(fb, x):
+    """Reference accumulation, the definition scanned: every preopen
+    neighbourhood of x has a preclosure meeting every member."""
+    sp = fb.space
+    return all(sp.preclosure(v) & f for v in sp.preopen_at(x) for f in fb.members)
+
+
+def _clause_c_by_scan(space):
+    """Reference clause (c) on ``space``, as a function of a subset ``s``
+    and the antichain bases drawn for it: every principal or drawn base
+    that meets ``s`` is rebuilt by the checking constructor and has a
+    scanned accumulation point in ``s``.  Scans are kept per (members,
+    point), as the subsets of one space share bases."""
+    principal = principal_filter_bases(space)
+    scanned = {}
+
+    def accumulates(members, x):
+        if (members, x) not in scanned:
+            scanned[members, x] = _accumulates_by_scan(FilterBase(space, members), x)
+        return scanned[members, x]
+
+    def clause(s, drawn):
+        return all(any(accumulates(fb.members, x) for x in bits(s))
+                   for fb in (*principal, *drawn) if fb.meets(s))
+
+    return clause
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_accumulation_reads_the_closure_table_as_the_scan_does(n):
+    for sp in all_spaces(n):
+        bases = list(principal_filter_bases(sp))
+        if n <= 3:
+            bases += antichain_filter_bases(sp)
+        else:
+            bases += antichain_filter_bases(sp, random.Random(f"acc|{sp.opens}"), 40)
+        for fb in bases:
+            for x in range(n):
+                assert pre_theta_accumulates(fb, x) == _accumulates_by_scan(fb, x)
+        with pytest.raises(TopologyError):
+            pre_theta_accumulates(bases[0], n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_clause_c_matches_the_scan_with_the_claim_seeds(n, monkeypatch):
+    import topolab.filters as F
+
+    # the reference judges the very bases the clause drew (the draws
+    # themselves are pinned below)
+    drawn = []
+    real = F.antichain_filter_bases
+
+    def recorded(*args):
+        for fb in real(*args):
+            drawn.append(fb)
+            yield fb
+
+    monkeypatch.setattr(F, "antichain_filter_bases", recorded)
+    for sp in all_spaces(n):
+        reference = _clause_c_by_scan(sp)
+        for s in range(sp.full + 1):
+            drawn.clear()
+            rng = random.Random(f"t43|{sp.opens}|{s}")
+            assert _clause_c(sp, s, rng, 30) == reference(s, drawn)
+            if n == 4:
+                assert len(drawn) > 0
+
+
+def test_antichain_draws_are_pinned():
+    for space, minima in (
+        (build_space(4, [0b0001, 0b0010]),
+         [4, 11, 15, 2, 7, 12, 7, 2, 1, 3, 1, 4, 3, 5, 6, 4, 4, 8, 5, 12, 6, 9,
+          12, 10]),
+        (build_space(5, [0b00011, 0b00110]),
+         [8, 21, 29, 4, 13, 24, 14, 5, 1, 7, 31, 28, 10, 6, 9, 11, 16, 3, 16, 9,
+          31, 18]),
+    ):
+        rng = random.Random(5)
+        assert [fb.minimum() for fb in antichain_filter_bases(space, rng, 40)] == minima
+
+
+def test_bases_from_closed_families_equal_checked_ones():
+    for n in (1, 2, 3):
+        for sp in all_spaces(n):
+            for fb in antichain_filter_bases(sp):
+                assert fb == FilterBase(sp, fb.members)
+    sp = build_space(4, [0b0011, 0b0110])
+    for fb in antichain_filter_bases(sp, random.Random(3), 200):
+        assert fb == FilterBase(sp, fb.members)
+    d3 = discrete(3)
+    assert FilterBase.from_closed(d3, {0b011, 0b001, 0b101}) == FilterBase(
+        d3, (0b101, 0b011, 0b001, 0b011))
+    with pytest.raises(TopologyError, match="axiom"):
+        FilterBase(d3, (0b011, 0b110))  # {1} is missing
+
+
+def test_the_benchmark_tracer_binds_and_counts_the_filter_layer(monkeypatch):
+    """``perfbench/tracer.py`` rebinds the filter functions by name, reads
+    ``.minimum()`` off every base given to ``pre_theta_accumulates`` and
+    patches ``FiniteSpace`` methods; a claim run under it must work."""
+    import topolab.filters as F
+    from topolab.core import FiniteSpace
+    from topolab.verify import Universe, run_claim
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracer import Tracer
+
+    real = F.pre_theta_accumulates, FiniteSpace.__dict__["closure"]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for cid in ("T41", "T43"):
+            assert run_claim(cid, Universe.parse("exhaustive:3")).status == "pass"
+    finally:
+        tracer.uninstall()
+    assert (F.pre_theta_accumulates, FiniteSpace.__dict__["closure"]) == real
+    layers = tracer.metrics()
+    assert layers["filters.check_t41.calls"][0] > 0
+    assert layers["filters.check_t43.calls"][0] > 0
+    assert layers["filters.pre_theta_accumulates.calls"][0] > 0

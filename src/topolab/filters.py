@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations
+from operator import and_
 
 from topolab.core import FiniteSpace, TopologyError, bits
 from topolab.properties import check_cover, check_cover_relative
@@ -37,34 +39,19 @@ class FilterBase:
             self.space.check_fits(m)
             if m == 0:
                 raise TopologyError("filter base cannot contain the empty set")
-        for f1 in self.members:
-            for f2 in self.members:
-                if not any(f3 & ~(f1 & f2) == 0 for f3 in self.members):
-                    raise TopologyError(
-                        "filter base axiom fails: no member below "
-                        f"{set(bits(f1))} and {set(bits(f2))}"
-                    )
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-
-    @classmethod
-    def from_closed(cls, space: FiniteSpace, members) -> "FilterBase":
-        """The base of distinct nonempty ``members`` of ``space`` that are
-        closed under pairwise intersection, as ``close()`` leaves them: the
-        axiom holds, so only the canonical order is applied."""
-        fb = cls.__new__(cls)
-        object.__setattr__(fb, "space", space)
-        object.__setattr__(fb, "members", tuple(sorted(members)))
-        return fb
+        # a finite family is downward directed iff its intersection is a
+        # member (that member lies below any two)
+        members = set(self.members)
+        meet = reduce(and_, members)
+        if meet not in members:
+            raise TopologyError(
+                "filter base axiom fails: no member below all of them "
+                f"(their intersection is {set(bits(meet))})"
+            )
+        object.__setattr__(self, "members", tuple(sorted(members)))
 
     def minimum(self) -> int:
-        m = self.members[0]
-        for f in self.members:
-            if f & ~m == 0:
-                m = f
-        for f in self.members:
-            if m & ~f:
-                raise AssertionError("base axiom guarantees a minimum member")
-        return m
+        return reduce(and_, self.members)
 
     def meets(self, s: int) -> bool:
         return all(f & s for f in self.members)
@@ -136,7 +123,7 @@ def antichain_filter_bases(space: FiniteSpace, rng: random.Random | None = None,
                     continue  # not an antichain
                 fam = close(combo)
                 if fam is not None:
-                    yield FilterBase.from_closed(space, fam)
+                    yield FilterBase(space, tuple(fam))
         return
     for _ in range(samples):
         k = rng.randint(1, 3)
@@ -145,7 +132,7 @@ def antichain_filter_bases(space: FiniteSpace, rng: random.Random | None = None,
             continue
         fam = close(combo)
         if fam is not None:
-            yield FilterBase.from_closed(space, fam)
+            yield FilterBase(space, tuple(fam))
 
 
 def is_strictly_finer(fine: FilterBase, coarse: FilterBase) -> bool:

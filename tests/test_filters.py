@@ -1,6 +1,7 @@
 """Filter-base convergence machinery and the four-clause characterizations."""
 
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -276,17 +277,21 @@ def test_antichain_draws_are_pinned():
         assert [fb.minimum() for fb in antichain_filter_bases(space, rng, 40)] == minima
 
 
-def test_bases_from_closed_families_equal_checked_ones():
-    for n in (1, 2, 3):
-        for sp in all_spaces(n):
-            for fb in antichain_filter_bases(sp):
-                assert fb == FilterBase(sp, fb.members)
-    sp = build_space(4, [0b0011, 0b0110])
-    for fb in antichain_filter_bases(sp, random.Random(3), 200):
-        assert fb == FilterBase(sp, fb.members)
+def test_base_axiom_check_matches_the_pairwise_definition():
+    """The constructor's one-intersection test accepts exactly the families
+    in which any two members have a member below both, over every family of
+    nonempty subsets of a 3-point carrier."""
     d3 = discrete(3)
-    assert FilterBase.from_closed(d3, {0b011, 0b001, 0b101}) == FilterBase(
-        d3, (0b101, 0b011, 0b001, 0b011))
+    nonempty = range(1, d3.full + 1)
+    for r in range(1, len(nonempty) + 1):
+        for fam in combinations(nonempty, r):
+            directed = all(any(f3 & ~(f1 & f2) == 0 for f3 in fam)
+                           for f1 in fam for f2 in fam)
+            if directed:
+                assert FilterBase(d3, fam).members == tuple(sorted(fam))
+            else:
+                with pytest.raises(TopologyError, match="axiom"):
+                    FilterBase(d3, fam)
     with pytest.raises(TopologyError, match="axiom"):
         FilterBase(d3, (0b011, 0b110))  # {1} is missing
 

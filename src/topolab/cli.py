@@ -34,6 +34,7 @@ from topolab.skeleton import (
     catalog,
     catalog_names,
     parse_skel,
+    pattern_elements,
     realized_opens_description,
     sym_classify,
     sym_operator,
@@ -102,13 +103,6 @@ def _parse_set(space, text: str) -> int:
         raise CliError(f"bad set literal {text!r}: {err}") from err
 
 
-def _pattern_elements(pat: str) -> tuple[int, ...]:
-    """``"e0,e2"`` -> (0, 2); ``""`` and ``"-"`` are the empty pattern."""
-    if pat in ("", "-"):
-        return ()
-    return tuple(int(tok.lstrip("e")) for tok in pat.split(","))
-
-
 def _parse_symbolic_set(space, path: str) -> SymbolicSet:
     if not isinstance(space, SkeletonSpace):
         raise CliError("--symbolic-set is for skeletons; use --set")
@@ -123,7 +117,7 @@ def _parse_symbolic_set(space, path: str) -> SymbolicSet:
         raise CliError(f"bad symbolic set {path}: want a JSON object of "
                        "node name -> {pattern: count} objects")
     try:
-        spec = {node: {_pattern_elements(pat): card for pat, card in pats.items()}
+        spec = {node: {pattern_elements(pat): card for pat, card in pats.items()}
                 for node, pats in data.items()}
         return SymbolicSet.from_names(space, spec)
     except (SkeletonError, ValueError) as err:

@@ -12,9 +12,9 @@ pivot search (a class whose every admissible template saturates to the
 whole carrier) proving success.  Neither search is complete; Unknown is a
 legal outcome away from the catalog.
 
-T0, resolvability, strong irresolvability and hyperconnectedness are
-decided from top classes by one rule on both kinds of space: a finite space
-passes its up-set rows, a skeleton the rows of its validation probe (see
+Every simple property but aleph0-ed and the p-regularity trio is decided
+from top classes by one rule on both kinds of space: a finite space passes
+its up-set rows, a skeleton the rows of its validation probe (see
 ``_top_class_simple``).
 """
 
@@ -39,6 +39,7 @@ from topolab.skeleton import (
     expand,
     finite_probe,
     full_set,
+    pattern_elements,
     probe_set,
     sym_classify,
     sym_operator,
@@ -330,17 +331,9 @@ def _template_from_json(space: SkeletonSpace, tjson: dict) -> SymbolicSet:
     over template pairs name each template thousands of times."""
     key = tuple((nname, tuple(pats.items())) for nname, pats in tjson.items())
 
-    def parse():
-        spec = {}
-        for nname, pats in tjson.items():
-            spec[nname] = {
-                (tuple(int(tok[1:]) for tok in pat.split(","))
-                 if pat != "-" else ()): card
-                for pat, card in pats.items()
-            }
-        return SymbolicSet.from_names(space, spec)
-
-    return space.recall(("json", key), parse)
+    return space.recall(("json", key), lambda: SymbolicSet.from_names(space, {
+        nname: {pattern_elements(pat): card for pat, card in pats.items()}
+        for nname, pats in tjson.items()}))
 
 
 def smoke_test_witness(space: SkeletonSpace, cp: CoverProperty, witness: dict,
@@ -403,8 +396,8 @@ def smoke_test_witness(space: SkeletonSpace, cp: CoverProperty, witness: dict,
 # -- simple properties -------------------------------------------------------------
 
 
-_TOP_CLASS_PROPERTIES = ("t0", "resolvable", "strongly-irresolvable",
-                         "hyperconnected")
+_TOP_CLASS_PROPERTIES = ("t0", "submaximal", "resolvable", "strongly-irresolvable",
+                         "hyperconnected", "extremally-disconnected", "preconnected")
 _NEGATIONS = {
     "irresolvable": "resolvable",
     "hyperdisconnected": "hyperconnected",
@@ -419,57 +412,69 @@ _SEPARATED_CLASS = {
 
 
 def _top_class_simple(rows, name: str) -> bool:
-    """Decide t0, resolvable, strongly irresolvable or hyperconnected from
-    the up-set rows of an Alexandrov space.
+    """Decide t0 or a dense-set or connectedness property from the up-set
+    rows of an Alexandrov space.
 
-    Top classes are those of ``core.top_classes``, and they are open.
-    When every nonempty open set contains a top class, a set
-    is dense iff it meets every top class, so the space is resolvable iff
-    every top class has at least 2 points, strongly irresolvable iff every
-    top class is one point (an open top class of 2 or more points is a
-    resolvable open subspace), and hyperconnected iff there is exactly one
-    top class (two would be disjoint nonempty open sets).  T0 means the rows
-    are pairwise distinct.
+    Top classes are those of ``core.top_classes``, Top their union and S the
+    union of the one-point ones; they are open, and every nonempty open set
+    contains one, so a set is dense iff it meets every top class.  Hence:
+    - resolvable iff every top class has 2 or more points, strongly
+      irresolvable iff every one has a single point (an open top class of
+      2 or more points is a resolvable open subspace), hyperconnected iff
+      there is exactly one (two are disjoint nonempty open sets);
+    - submaximal iff every row minus its own point lies in S: then every
+      set holding Top is open, and no top class {x, y, ...} can be, as the
+      dense set without x is not open;
+    - extremally disconnected iff every row meets exactly one top class:
+      cl U is the down-set of U, open iff the top classes above its points
+      lie in U;
+    - U and its complement are both preopen iff neither misses a top class
+      above one of its points, so preconnected iff S = Top and the tops are
+      connected, two tops being linked when one row meets both.
+    T0 means the rows are pairwise distinct.
 
     A finite space passes its ``min_nbhd``.  A skeleton passes
     ``probe_rows``, the rows of its validation probe, where omega becomes 3
     copies and finite cards are capped at 3.  The probe is exact here:
-    - relations are class-uniform, so whether a point is top, and whether
-      two points share a row, depends only on their classes and on whether
-      they are copies of one node, which the probe keeps;
+    - relations are class-uniform, so whether a point is top, and whether a
+      row holds a point, depends only on their classes and on whether they
+      are copies of one node, which the probe keeps;
     - a clique node's top class holds all its copies, and an antichain node
-      gives one top class per copy, so "at least 2 points" and "more than
-      one top class" read the same with 3 copies as with the real number;
-    - every strictly increasing chain changes class, so height is finite and
-      every nonempty open set of the real space contains a top class.
+      gives one top class per copy, so "1 vs 2 or more points" and "1 vs 2
+      or more top classes", in the space or in one row, read the same with
+      3 copies as with the real number;
+    - a link needs at most 3 copies of a node, one per top and one for the
+      row, so the probe's links are the real ones among its tops.  Any two
+      real tops lie in one copy of the probe, and a real path between probe
+      tops can be redrawn in the probe: each step keeps or changes copy as
+      the real one does, and with 3 copies a changed copy can differ from
+      those of both its neighbours on the path;
+    - every strictly increasing chain changes class, so height is finite.
     """
     if name == "t0":
         return len(set(rows)) == len(rows)
-    tops = top_classes(rows).classes
-    if name == "resolvable":
-        return all(r.bit_count() > 1 for r in tops)
-    if name == "strongly-irresolvable":
-        return all(r.bit_count() == 1 for r in tops)
-    return len(tops) == 1  # hyperconnected
-
-
-def _finite_simple(space: FiniteSpace, name: str) -> bool:
-    full = space.full
+    tops = top_classes(rows)
     if name == "submaximal":
-        return all(
-            space.is_open(a)
-            for a in range(full + 1)
-            if space.closure(a) == full
-        )
+        return all(not r & ~(1 << x) & ~tops.single for x, r in enumerate(rows))
     if name == "extremally-disconnected":
-        return all(space.is_open(space.closure(u)) for u in space.opens)
-    if name == "aleph0-ed":
-        return True  # boundaries in a finite space are finite
+        return all(sum(1 for c in tops.classes if c & r) == 1 for r in rows)
     if name == "preconnected":
-        po = set(space.preopen_masks)
-        return not any(
-            0 < u < full and u in po and (full ^ u) in po for u in range(full + 1)
-        )
+        linked, grown = 0, tops.top & -tops.top
+        while grown != linked:
+            linked = grown
+            for r in rows:
+                if r & linked:
+                    grown |= r & tops.top
+        return tops.single == tops.top == linked
+    if name == "resolvable":
+        return all(r.bit_count() > 1 for r in tops.classes)
+    if name == "strongly-irresolvable":
+        return all(r.bit_count() == 1 for r in tops.classes)
+    return len(tops.classes) == 1  # hyperconnected
+
+
+def _finite_p_regularity(space: FiniteSpace, name: str) -> bool:
+    full = space.full
     kind = _SEPARATED_CLASS[name]
     po = space.preopen_masks
     for f in range(full + 1):
@@ -534,30 +539,6 @@ def _skel_p_regularity(space: SkeletonSpace, kind: str) -> bool:
     return True
 
 
-def _skel_simple(space: SkeletonSpace, name: str) -> bool:
-    if name == "submaximal":
-        return all(
-            flags.open for t, flags in classified_templates(space) if flags.dense
-        )
-    if name == "extremally-disconnected":
-        return all(
-            template_flags(space, _sym_saturate(space, "cl", t)).open
-            for t, flags in classified_templates(space)
-            if flags.open
-        )
-    if name == "aleph0-ed":
-        return not any(
-            flags.regular_open and _boundary_has_inf(space, t)
-            for t, flags in classified_templates(space)
-        )
-    if name == "preconnected":
-        return not any(
-            flags.preregular and not t.is_empty() and not t.is_full()
-            for t, flags in classified_templates(space)
-        )
-    return _skel_p_regularity(space, name)
-
-
 def _boundary_has_inf(space, t: SymbolicSet) -> bool:
     """Is the boundary cl(t) - int(t) of the set infinite?"""
     cfg = Config.of(space, t)
@@ -579,14 +560,19 @@ def check_simple(space, name: str) -> bool:
 def _decide_simple(space, name: str) -> bool:
     if name in _NEGATIONS:
         return not _decide_simple(space, _NEGATIONS[name])
+    finite = isinstance(space, FiniteSpace)
     if name in _TOP_CLASS_PROPERTIES:
-        rows = space.min_nbhd if isinstance(space, FiniteSpace) else space.probe_rows
-        return _top_class_simple(rows, name)
-    if isinstance(space, FiniteSpace):
-        return _finite_simple(space, name)
+        return _top_class_simple(space.min_nbhd if finite else space.probe_rows, name)
+    if name == "aleph0-ed":
+        # every boundary of a finite space is finite
+        return finite or space.finite or not any(
+            flags.regular_open and _boundary_has_inf(space, t)
+            for t, flags in classified_templates(space))
+    if finite:
+        return _finite_p_regularity(space, name)
     if space.finite:
-        return _finite_simple(expand(space)[0], name)
-    return _skel_simple(space, name)
+        return _finite_p_regularity(expand(space)[0], name)
+    return _skel_p_regularity(space, name)
 
 
 # -- the implication diagram --------------------------------------------------------

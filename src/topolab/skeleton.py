@@ -1261,6 +1261,22 @@ def random_finite_skeleton(rng, max_nodes: int = 2, max_card: int = 3) -> Skelet
 # -- the .skel text format ------------------------------------------------------
 
 
+def element_numeral(tok: str) -> int | None:
+    """The N of an element token ``e<N>`` (ASCII digits), else None."""
+    return numeral(tok[1:]) if tok.startswith("e") else None
+
+
+def pattern_elements(pat: str) -> tuple[int, ...]:
+    """``"e0,e2"`` -> (0, 2); ``"-"`` (as ``SymbolicSet.to_json`` writes it)
+    and ``""`` are the empty pattern."""
+    if pat in ("", "-"):
+        return ()
+    elems = tuple(element_numeral(tok) for tok in pat.split(","))
+    if None in elems:
+        raise SkeletonError(f"bad pattern {pat!r}: want e<N>,e<N>,... or '-'")
+    return elems
+
+
 def parse_skel(text: str) -> SkeletonSpace:
     """Parse the ``.skel`` format: node and rel lines."""
     nodes = []
@@ -1299,7 +1315,7 @@ def parse_skel(text: str) -> SkeletonSpace:
                 nm, el = tok.rsplit(".", 1)
                 if nm not in index:
                     raise SkeletonError(f"line {lineno}: unknown node {nm!r}")
-                e = numeral(el[1:]) if el.startswith("e") else None
+                e = element_numeral(el)
                 if e is None:
                     raise SkeletonError(f"line {lineno}: bad element {el!r}")
                 if e >= nodes[index[nm]].size:

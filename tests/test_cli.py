@@ -287,19 +287,30 @@ def test_check_finite_skel_explain_prints_realized_opens(capsys, tmp_path):
 
 def test_top_class_properties_of_a_finite_skel_beyond_the_expansion_cap(
         capsys, tmp_path):
+    from test_properties import _scan_simple
+    from topolab.skeleton import expand, parse_skel
+
     # 18 points: decided from class rows, never expanded
+    text = ("node n0 card 6 mode antichain block antichain2\n"
+            "node n1 card 3 mode antichain block chain2\n"
+            "rel n0.e0 <= n1.e1\n")
     skel = tmp_path / "eighteen.skel"
-    skel.write_text("node n0 card 6 mode antichain block antichain2\n"
-                    "node n1 card 3 mode antichain block chain2\n"
-                    "rel n0.e0 <= n1.e1\n")
-    expected = {"t0": "true", "resolvable": "false", "irresolvable": "true",
-                "strongly-irresolvable": "true", "hyperconnected": "false"}
+    skel.write_text(text)
+    expected = {"t0": "true", "submaximal": "true", "resolvable": "false",
+                "irresolvable": "true", "strongly-irresolvable": "true",
+                "hyperconnected": "false", "extremally-disconnected": "false",
+                "preconnected": "false", "predisconnected": "true",
+                "aleph0-ed": "true"}
     for prop, word in expected.items():
         code, out, err = run(capsys, "check", "--space", str(skel), "--prop", prop)
         assert (code, out.strip(), err) == (0, word, ""), prop
-    # submaximal still scans every subset of the realization
+    # the same answers by scanning the 14-point realization with n0 at card 4
+    fs, _labels = expand(parse_skel(text.replace("card 6", "card 4")))
+    for prop in ("submaximal", "extremally-disconnected", "preconnected"):
+        assert _scan_simple(fs, prop) is (expected[prop] == "true"), prop
+    # the p-regularity trio still scans every subset of the realization
     code, out, err = run(capsys, "check", "--space", str(skel),
-                         "--prop", "submaximal")
+                         "--prop", "p-regular")
     assert code == 3
     assert err.startswith("error:") and "expansion too large" in err
     assert out == ""
@@ -340,6 +351,11 @@ SYMBOLIC_SKEL = ("node n0 card omega mode antichain block antichain2\n"
     "{",
     b"\xff\xfe",
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
+    '{"n1": {"1": 1}}',  # element tokens are e<N>, N in ASCII digits
+    '{"n1": {"e 1": 1}}',
+    '{"n1": {"ee1": 1}}',
+    '{"n1": {"e1,ee0": 1}}',
+    '{"n1": {"e\u0661": 1}}',  # an Arabic-Indic digit one
 ])
 def test_bad_symbolic_set_exit_three(capsys, tmp_path, text):
     skel = tmp_path / "two.skel"

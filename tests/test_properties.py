@@ -542,7 +542,20 @@ def test_a_warm_finite_memo_survives_pickling():
 
 # -- the top-class rules against the subset and template searches -------------------------
 
-TOP_CLASS_PROPERTIES = ("t0", "resolvable", "strongly-irresolvable", "hyperconnected")
+TOP_CLASS_PROPERTIES = ("t0", "submaximal", "resolvable", "strongly-irresolvable",
+                        "hyperconnected", "extremally-disconnected", "preconnected")
+NEGATION = {"resolvable": "irresolvable", "hyperconnected": "hyperdisconnected",
+            "preconnected": "predisconnected"}
+
+
+def _assert_rules_match(space, reference, props, where):
+    """check_simple equals the reference on each property, and is its
+    opposite on the property's negation."""
+    for prop in props:
+        want = reference(space, prop)
+        assert check_simple(space, prop) is want, (where, prop)
+        if prop in NEGATION:
+            assert check_simple(space, NEGATION[prop]) is not want, (where, prop)
 
 
 def _dense_in(sp, a, u):
@@ -563,15 +576,23 @@ def _scan_resolvable(sp, u):
 
 def _scan_simple(sp, name):
     """Reference: the scans over subsets, open sets and open subspaces that
-    these four properties were decided with before the top-class rules."""
+    these properties were decided with before the top-class rules."""
     full = sp.full
     if name == "t0":
         return all(any((u >> x & 1) != (u >> y & 1) for u in sp.opens)
                    for x in range(sp.n) for y in range(x))
+    if name == "submaximal":
+        return all(sp.is_open(a) for a in range(full + 1) if sp.closure(a) == full)
     if name == "resolvable":
         return _scan_resolvable(sp, full)
     if name == "strongly-irresolvable":
         return not any(_scan_resolvable(sp, u) for u in sp.opens if u)
+    if name == "extremally-disconnected":
+        return all(sp.is_open(sp.closure(u)) for u in sp.opens)
+    if name == "preconnected":
+        po = set(sp.preopen_masks)
+        return not any(0 < u < full and u in po and (full ^ u) in po
+                       for u in range(full + 1))
     assert name == "hyperconnected"
     return all(sp.closure(u) == full for u in sp.opens if u)
 
@@ -581,26 +602,35 @@ def test_top_class_rules_match_the_scans_on_every_finite_space(n):
     from topolab.verify import all_topologies
 
     for sp in all_topologies(n):
-        for name in TOP_CLASS_PROPERTIES:
-            assert check_simple(sp, name) is _scan_simple(sp, name), (sp, name)
-        assert check_simple(sp, "irresolvable") is not check_simple(sp, "resolvable")
-        assert check_simple(sp, "hyperdisconnected") is not check_simple(
-            sp, "hyperconnected")
+        _assert_rules_match(sp, _scan_simple, TOP_CLASS_PROPERTIES, sp)
 
 
 def _template_simple(space, name):
-    """Reference: the template searches resolvable and hyperconnected were
-    decided with on skeletons before the top-class rules."""
-    from topolab.properties import template_flags
+    """Reference: the template searches these properties were decided with
+    on skeletons before the top-class rules."""
+    from topolab.properties import _sym_saturate, template_flags
     from topolab.skeleton import sym_complement
 
+    templates = classified_templates(space)
+    if name == "submaximal":
+        return all(flags.open for t, flags in templates if flags.dense)
     if name == "resolvable":
         return any(
             flags.dense and template_flags(space, sym_complement(space, t)).dense
-            for t, flags in classified_templates(space))
+            for t, flags in templates)
+    if name == "extremally-disconnected":
+        return all(template_flags(space, _sym_saturate(space, "cl", t)).open
+                   for t, flags in templates if flags.open)
+    if name == "preconnected":
+        return not any(flags.preregular and not t.is_empty() and not t.is_full()
+                       for t, flags in templates)
     assert name == "hyperconnected"
-    return all(flags.dense for t, flags in classified_templates(space)
+    return all(flags.dense for t, flags in templates
                if flags.open and not t.is_empty())
+
+
+TEMPLATE_SEARCHED = ("submaximal", "resolvable", "hyperconnected",
+                     "extremally-disconnected", "preconnected")
 
 
 def _finite_probe_spaces(sk):
@@ -615,44 +645,73 @@ def _finite_probe_spaces(sk):
             yield expand(probe)[0]
 
 
+def _assert_probes_match(sk):
+    """The rules on sk against the scans on its finite probes; the number
+    of probes compared."""
+    probes = list(_finite_probe_spaces(sk))
+    for fs in probes:
+        _assert_rules_match(sk, lambda _sk, prop: _scan_simple(fs, prop),
+                            TOP_CLASS_PROPERTIES, format_skel(sk))
+    return len(probes)
+
+
 @pytest.mark.parametrize("name", CATALOG_SKELETONS)
 def test_top_class_rules_match_the_template_search_on_the_catalog(name):
     sk = parse_skel(format_skel(catalog(name).space))  # a cold memo
-    for prop in ("resolvable", "hyperconnected"):
-        assert check_simple(sk, prop) is _template_simple(sk, prop), prop
-    probes = list(_finite_probe_spaces(sk))
-    assert probes
-    for fs in probes:
-        for prop in TOP_CLASS_PROPERTIES:
-            assert check_simple(sk, prop) is _scan_simple(fs, prop), prop
+    _assert_rules_match(sk, _template_simple, TEMPLATE_SEARCHED, name)
+    assert _assert_probes_match(sk)
 
 
 def test_top_class_rules_match_the_template_search_on_random_omega_skeletons():
     checked = 0
     for sk in omega_skeletons(seed=3, count=10):
-        for prop in ("resolvable", "hyperconnected"):
-            assert check_simple(sk, prop) is _template_simple(sk, prop), (
-                format_skel(sk), prop)
-        for fs in _finite_probe_spaces(sk):
-            checked += 1
-            for prop in TOP_CLASS_PROPERTIES:
-                assert check_simple(sk, prop) is _scan_simple(fs, prop), (
-                    format_skel(sk), prop)
+        _assert_rules_match(sk, _template_simple, TEMPLATE_SEARCHED, format_skel(sk))
+        checked += _assert_probes_match(sk)
     assert checked >= 10
 
 
 def test_top_class_rules_match_the_scans_on_random_finite_skeletons():
+    """Cards up to 3 lie inside the 3-copy probe; cards of 4 and 5 (at most
+    16 points) are capped by it, and there the strongly irresolvable scan,
+    which takes seconds, is left out."""
     import random
 
+    from topolab.core import MAX_EXPLICIT_POINTS
     from topolab.skeleton import expand, random_finite_skeleton
 
     rng = random.Random(5)
-    for _ in range(80):
-        sk = random_finite_skeleton(rng)  # at most 12 points
-        fs, _labels = expand(sk)
-        for prop in TOP_CLASS_PROPERTIES:
-            assert check_simple(sk, prop) is _scan_simple(fs, prop), (
-                format_skel(sk), prop)
+    capped = tuple(p for p in TOP_CLASS_PROPERTIES if p != "strongly-irresolvable")
+    for max_card, count, props in ((3, 80, TOP_CLASS_PROPERTIES), (5, 40, capped)):
+        seen = 0
+        while seen < count:
+            sk = random_finite_skeleton(rng, max_card=max_card)
+            if (max_card > 3 and max(nd.card for nd in sk.nodes) < 4
+                    or sum(nd.card * nd.size for nd in sk.nodes) > MAX_EXPLICIT_POINTS):
+                continue
+            seen += 1
+            fs, _labels = expand(sk)
+            _assert_rules_match(sk, lambda _sk, prop: _scan_simple(fs, prop),
+                                props, format_skel(sk))
+
+
+def test_rule_verdicts_match_the_benchmark_reference():
+    """The omega-sweep reference pins every verdict of its table; a change
+    to a rule-decided one fails here, before the benchmark's gate.  The
+    p-regularity trio is left out: the reference pins values its template
+    search gets wrong."""
+    import json
+    from pathlib import Path
+
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "omega-sweep.json"
+    table = json.loads(ref.read_text(encoding="utf-8"))["table"]
+    props = [p for p in TOP_CLASS_PROPERTIES if p in table[0]["verdicts"]]
+    assert len(props) == 6  # the sweep leaves strongly-irresolvable out
+    for row in table:
+        sk = parse_skel(row["skeleton"])
+        _assert_rules_match(sk, lambda _sk, prop: row["verdicts"][prop], props,
+                            row["skeleton"])
+        for prop, neg in NEGATION.items():
+            assert row["verdicts"][neg] is not row["verdicts"][prop]
 
 
 @pytest.mark.parametrize("text", [

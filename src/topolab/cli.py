@@ -17,6 +17,7 @@ from topolab.core import (
     FiniteSpace,
     TopologyError,
     mask_of,
+    numeral,
     parse_topo,
     points_of,
 )
@@ -34,9 +35,7 @@ from topolab.skeleton import (
     catalog,
     catalog_names,
     parse_skel,
-    pattern_elements,
     realized_opens_description,
-    sym_classify,
     sym_operator,
 )
 from topolab.verify import (
@@ -96,10 +95,13 @@ def _parse_set(space, text: str) -> int:
         raise CliError("--set is for finite spaces; use --symbolic-set")
     if text in ("", "-"):
         return 0
+    pts = [numeral(t) for t in text.split(",")]
+    if None in pts:
+        raise CliError(f"bad set literal {text!r}: want point numbers "
+                       "in ASCII digits, separated by commas")
     try:
-        pts = [int(t) for t in text.split(",")]
         return mask_of(pts, space.n)
-    except (ValueError, TopologyError) as err:
+    except TopologyError as err:
         raise CliError(f"bad set literal {text!r}: {err}") from err
 
 
@@ -112,16 +114,10 @@ def _parse_symbolic_set(space, path: str) -> SymbolicSet:
     # ValueError: bad JSON or UTF-8; RecursionError: nesting too deep to decode
     except (OSError, ValueError, RecursionError) as err:
         raise CliError(f"cannot read symbolic set {path}: {err}") from err
-    if not (isinstance(data, dict)
-            and all(isinstance(pats, dict) for pats in data.values())):
-        raise CliError(f"bad symbolic set {path}: want a JSON object of "
-                       "node name -> {pattern: count} objects")
     try:
-        spec = {node: {pattern_elements(pat): card for pat, card in pats.items()}
-                for node, pats in data.items()}
-        return SymbolicSet.from_names(space, spec)
-    except (SkeletonError, ValueError) as err:
-        raise CliError(f"bad symbolic set: {err}") from err
+        return SymbolicSet.from_json(space, data)
+    except SkeletonError as err:
+        raise CliError(f"bad symbolic set {path}: {err}") from err
 
 
 def _fmt_mask(mask: int) -> str:
@@ -166,7 +162,7 @@ def _cmd_classify(args) -> int:
     else:
         if args.symbolic_set is None:
             raise CliError("skeleton spaces need --symbolic-set")
-        flags = sym_classify(space, _parse_symbolic_set(space, args.symbolic_set))
+        flags = space.classify(_parse_symbolic_set(space, args.symbolic_set))
     for name, value in flags.as_dict().items():
         print(f"{name}: {str(value).lower()}")
     return 0

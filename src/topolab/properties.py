@@ -12,10 +12,10 @@ pivot search (a class whose every admissible template saturates to the
 whole carrier) proving success.  Neither search is complete; Unknown is a
 legal outcome away from the catalog.
 
-Every simple property but aleph0-ed and the p-regularity trio is decided
-from top classes by one rule on both kinds of space: a finite space passes
-its up-set rows, a skeleton the rows of its validation probe (see
-``_top_class_simple``).
+Every simple property but the p-regularity trio is decided from top
+classes: a finite space passes its up-set rows, a skeleton the rows of its
+validation probe (see ``_top_class_simple``).  aleph0-ed holds outright on
+a finite space and reads the probe rows of a skeleton (``_aleph0_ed``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from functools import cached_property
 from topolab.core import FiniteSpace, bits, points_of, top_classes
 from topolab.skeleton import (
     INF,
-    Config,
     SkeletonOverflow,
     SkeletonSpace,
     SymbolicAmbiguity,
@@ -39,9 +38,7 @@ from topolab.skeleton import (
     expand,
     finite_probe,
     full_set,
-    pattern_elements,
     probe_set,
-    sym_classify,
     sym_operator,
 )
 
@@ -172,15 +169,10 @@ class _FiniteVerdict(Verdict):
 # -- symbolic results, memoized on the space (SkeletonSpace.recall) ------------
 
 
-def template_flags(space: SkeletonSpace, t: SymbolicSet):
-    """The class flags of a symbolic set, memoized."""
-    return space.recall(("flags", t.counts), lambda: sym_classify(space, t))
-
-
 def classified_templates(space: SkeletonSpace):
     """All templates of the skeleton with their class flags, memoized."""
     return space.recall(("templates",), lambda: tuple(
-        (t, template_flags(space, t)) for t in all_symbolic_sets(space)))
+        (t, space.classify(t)) for t in all_symbolic_sets(space)))
 
 
 def _sym_saturate(space: SkeletonSpace, sat: str, t: SymbolicSet) -> SymbolicSet:
@@ -326,16 +318,6 @@ def _check_relative_uncached(space: SkeletonSpace, s: SymbolicSet,
 # -- escape witness smoke test ---------------------------------------------------
 
 
-def _template_from_json(space: SkeletonSpace, tjson: dict) -> SymbolicSet:
-    """The template a claim instance names, parsed once per skeleton: claims
-    over template pairs name each template thousands of times."""
-    key = tuple((nname, tuple(pats.items())) for nname, pats in tjson.items())
-
-    return space.recall(("json", key), lambda: SymbolicSet.from_names(space, {
-        nname: {pattern_elements(pat): card for pat, card in pats.items()}
-        for nname, pats in tjson.items()}))
-
-
 def smoke_test_witness(space: SkeletonSpace, cp: CoverProperty, witness: dict,
                        omega_size: int = 6, subfamily: int = 2) -> bool:
     """Instantiate an escape witness on a finite probe and verify that a
@@ -365,7 +347,7 @@ def smoke_test_witness(space: SkeletonSpace, cp: CoverProperty, witness: dict,
     for key, tjson in witness["templates"].items():
         node_name, elem_tok = key.rsplit(".e", 1)
         i, e = name_to_idx[node_name], int(elem_tok)
-        t = _template_from_json(space, tjson)
+        t = SymbolicSet.from_json(space, tjson)
         sigma = next(
             pat for pat, card in t.counts[i]
             if pat >> e & 1 and card not in (0, INF)
@@ -539,15 +521,34 @@ def _skel_p_regularity(space: SkeletonSpace, kind: str) -> bool:
     return True
 
 
-def _boundary_has_inf(space, t: SymbolicSet) -> bool:
-    """Is the boundary cl(t) - int(t) of the set infinite?"""
-    cfg = Config.of(space, t)
-    diff = cfg.op_diff(cfg.op_cl(0), cfg.op_int(0))
-    for node_groups in cfg.groups:
-        for card, pats, _m in node_groups:
-            if pats[diff] and card == INF:
-                return True
-    return False
+def _aleph0_ed(space: SkeletonSpace) -> bool:
+    """Every regular open set of a skeleton has a finite boundary iff no
+    point of an omega node has a probe row that meets two or more top
+    classes.
+
+    Every point of an open set U lies below a top class in U, so cl U is
+    the down-set of the top classes U holds, and a regular open set is
+    int ↓T for a set T of top classes.  A point lies in ↓T iff its row
+    meets a class of T, and in int ↓T iff its row meets no other top
+    class, so the boundary is the set of points whose row meets a top
+    class in T and one outside T.  Hence:
+    - a finite node has finitely many points, so only omega nodes can make
+      a boundary infinite;
+    - when the rows of an omega class meet two top classes, some T splits
+      all of its copies: a top the copies share goes in T and the other
+      one out, or else each copy's own top of one element goes in T;
+    - a row meets one top class or two and more with 3 copies as with the
+      real number, so the probe is exact here, as in ``_top_class_simple``.
+    """
+    rows, tops = space.probe_rows, top_classes(space.probe_rows).classes
+    start = 0
+    for nd, copies in zip(space.nodes, space.probe_copies()):
+        end = start + copies * nd.size
+        if nd.is_omega and any(sum(1 for c in tops if c & r) > 1
+                               for r in rows[start:end]):
+            return False
+        start = end
+    return True
 
 
 def check_simple(space, name: str) -> bool:
@@ -565,9 +566,7 @@ def _decide_simple(space, name: str) -> bool:
         return _top_class_simple(space.min_nbhd if finite else space.probe_rows, name)
     if name == "aleph0-ed":
         # every boundary of a finite space is finite
-        return finite or space.finite or not any(
-            flags.regular_open and _boundary_has_inf(space, t)
-            for t, flags in classified_templates(space))
+        return finite or _aleph0_ed(space)
     if finite:
         return _finite_p_regularity(space, name)
     if space.finite:

@@ -423,6 +423,10 @@ class SkeletonSpace:
             raise value.with_traceback(None)
         return value
 
+    def classify(self, t: "SymbolicSet") -> ClassFlags:
+        """The class flags of a template (``sym_classify``), memoized."""
+        return self.recall(("flags", t.counts), lambda: sym_classify(self, t))
+
     def __str__(self):
         parts = []
         for nd in self.nodes:
@@ -528,6 +532,19 @@ class SymbolicSet:
                 for pat, card in pairs
             }
         return out
+
+    @staticmethod
+    def from_json(space: SkeletonSpace, data) -> "SymbolicSet":
+        """The inverse of ``to_json``: {node name: {pattern: count}} with
+        patterns as ``pattern_elements`` reads them.  Any other value
+        raises SkeletonError."""
+        if not (isinstance(data, dict)
+                and all(isinstance(pats, dict) for pats in data.values())):
+            raise SkeletonError("want a JSON object of node name -> "
+                                "{pattern: count} objects")
+        return SymbolicSet.from_names(space, {
+            name: {pattern_elements(pat): card for pat, card in pats.items()}
+            for name, pats in data.items()})
 
     def __str__(self):
         parts = []

@@ -3,13 +3,18 @@ and counterexample hunts.
 
 Claims are universally quantified statements whose predicates are built
 from the operator, property and filter checkers.  Each claim has an
-instance-level predicate, so any recorded violation can be replayed
+instance-level predicate over native instances: its sets, under
+``"sets"``, are masks of a finite space or templates of a skeleton, and a
+map's codomain is a space.  An instance becomes JSON only in a violation
+record (``_instance_json``), and ``replay`` reads it back
+(``_instance_from_json``), so any recorded violation can be replayed
 bit-for-bit.  Unknown verdicts on skeletons are never counted as pass or
 fail; they land in a separate bucket of the report.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -28,6 +33,7 @@ from topolab.core import (
 from topolab.properties import (
     COVER_PROPERTIES,
     SIMPLE_PROPERTIES,
+    _sym_saturate,
     check_cover,
     check_cover_relative,
     check_simple,
@@ -37,11 +43,15 @@ from topolab.properties import (
 from topolab.skeleton import (
     SkeletonError,
     SkeletonSpace,
+    SymbolicAmbiguity,
+    SymbolicIncomplete,
     SymbolicSet,
     catalog,
     format_skel,
     parse_skel,
+    remark_product_factors,
     restrict,
+    sym_complement,
 )
 
 
@@ -273,8 +283,8 @@ def space_from_json(data) -> FiniteSpace | SkeletonSpace:
     return _parsed_space(data["skel"])
 
 
-# claims name about a thousand instances over a few dozen codomains, and the
-# replays of one claim's violations share a space, so its memo stays warm
+# the replays of one claim's violations share a space, and those of a map
+# claim a few codomains, so their memos stay warm
 PARSED_SPACES = 256
 
 
@@ -284,6 +294,35 @@ def _parsed_space(key) -> FiniteSpace | SkeletonSpace:
     if isinstance(key, str):
         return parse_skel(key)
     return FiniteSpace(*key)
+
+
+def _instance_json(space, inst: dict) -> dict:
+    """A claim instance as its violation record writes it: the sets become
+    ``"subsets"`` (point lists) on a finite space and ``"templates"`` on a
+    skeleton, a codomain its space JSON; other keys keep value and place."""
+    out = {}
+    for key, value in inst.items():
+        if key == "sets" and isinstance(space, FiniteSpace):
+            out["subsets"] = [list(points_of(a)) for a in value]
+        elif key == "sets":
+            out["templates"] = [t.to_json() for t in value]
+        else:
+            out[key] = space_to_json(value) if key == "codomain" else value
+    return out
+
+
+def _instance_from_json(space, data: dict) -> dict:
+    """The claim instance a violation record names (``_instance_json``
+    inverted)."""
+    out = {}
+    for key, value in data.items():
+        if key == "subsets":
+            out["sets"] = [mask_of(pts, space.n) for pts in value]
+        elif key == "templates":
+            out["sets"] = [SymbolicSet.from_json(space, t) for t in value]
+        else:
+            out[key] = space_from_json(value) if key == "codomain" else value
+    return out
 
 
 @dataclass
@@ -331,6 +370,10 @@ def _cover_outcome(space, prop):
     return check_cover(space, prop).outcome
 
 
+def _relative_p_closed(space, a):
+    return check_cover_relative(space, a, "p-closed").outcome
+
+
 def _bool3_and(*vals):
     """Three-valued conjunction for hypothesis chains."""
     if any(v is False for v in vals):
@@ -340,16 +383,42 @@ def _bool3_and(*vals):
     return True
 
 
-def subspace_p_closed(space: SkeletonSpace, t: SymbolicSet):
-    """p-closedness of the subspace carried by a template, or None.
+def _flagged(space, flag: str):
+    """The sets of a space with a class flag: masks of a finite space,
+    templates of a skeleton."""
+    if isinstance(space, FiniteSpace):
+        return (a for a in range(space.full + 1) if getattr(space.classify(a), flag))
+    return (t for t, flags in classified_templates(space) if getattr(flags, flag))
+
+
+def _complement(space, a):
+    if isinstance(space, FiniteSpace):
+        return space.full ^ a
+    return sym_complement(space, a)
+
+
+def _trivial(space, a) -> bool:
+    """Is the set empty or the whole carrier?"""
+    if isinstance(space, FiniteSpace):
+        return a in (0, space.full)
+    return a.is_empty() or a.is_full()
+
+
+def subspace_p_closed(space, a):
+    """p-closedness of the subspace carried by a mask or a template, or
+    None.  The empty subspace is p-closed.
 
     FIN groups have no definite size; the verdict must agree for two
     realizations or it is not trusted.
     """
+    if isinstance(space, FiniteSpace):
+        return not a or check_cover(space.subspace(a)[0], "p-closed").outcome
+    if a.is_empty():
+        return True
     outcomes = set()
     for fin_as in (1, 2):
         try:
-            sub = restrict(space, t, fin_as=fin_as)
+            sub = restrict(space, a, fin_as=fin_as)
         except SkeletonError:
             return None
         outcomes.add(check_cover(sub, "p-closed").outcome)
@@ -387,6 +456,52 @@ def _claim(cid, description, kinds, expected_status="theorem"):
 
 def _whole_space_gen(space, ctx):
     yield {}
+
+
+def _sets(flag=None, nonempty=False):
+    """A generator of one-set instances: each subset a finite space draws,
+    whose predicate tests the hypothesis, or each template of a skeleton
+    with the class flag (and nonempty, if asked)."""
+    def gen(space, ctx):
+        if isinstance(space, FiniteSpace):
+            sets = _subsets(space, ctx)
+        else:
+            sets = (t for t, flags in classified_templates(space)
+                    if (flag is None or getattr(flags, flag))
+                    and not (nonempty and t.is_empty()))
+        for s in sets:
+            yield {"sets": [s]}
+
+    return gen
+
+
+def _pairs(space, ctx):
+    for a, b in _subset_pairs(space, ctx):
+        yield {"sets": [a, b]}
+
+
+def _maps(onto: bool):
+    """A generator of map instances into the spaces of 1 to 3 points: every
+    map from a carrier of 3 points or fewer, else ``ctx.budget`` drawn ones;
+    only the surjections when ``onto``."""
+    def every_map(space, ctx):
+        for m in range(1, 4):
+            for cod in all_topologies(m):
+                for values in itertools.product(range(m), repeat=space.n):
+                    yield cod, list(reversed(values))  # point 0 turns fastest
+
+    def drawn_maps(space, ctx):
+        for _ in range(ctx.budget):
+            m = ctx.rng.randint(1, 3)
+            cod = ctx.rng.choice(all_topologies(m))
+            yield cod, [ctx.rng.randrange(m) for _ in range(space.n)]
+
+    def gen(space, ctx):
+        for cod, assignment in (drawn_maps if space.n > 3 else every_map)(space, ctx):
+            if not onto or len(set(assignment)) == cod.n:
+                yield {"codomain": cod, "assignment": assignment}
+
+    return gen
 
 
 # T1: QHC and strongly irresolvable imply p-closed
@@ -529,10 +644,10 @@ def _t42():
 def _t43():
     def gen(space, ctx):
         for s in _subsets(space, ctx):
-            yield {"subsets": [list(points_of(s))], "samples": 30}
+            yield {"sets": [s], "samples": 30}
 
     def pred(space, inst):
-        s = mask_of(inst["subsets"][0], space.n)
+        s = inst["sets"][0]
         rng = random.Random(f"t43|{space.opens}|{s}")
         a, b, c, d = flt.check_t43(space, s, rng, samples=inst.get("samples", 0))
         return a == b == c == d
@@ -544,17 +659,9 @@ def _t43():
                "preregular sets are pre-theta-closed; semi-open sets have "
                "preclosure equal to closure", ("finite", "skeleton"))
 def _p41():
-    def gen(space, ctx):
-        if isinstance(space, FiniteSpace):
-            for s in _subsets(space, ctx):
-                yield {"subsets": [list(points_of(s))]}
-        else:
-            for t, _flags in classified_templates(space):
-                yield {"templates": [t.to_json()]}
-
     def pred(space, inst):
+        a = inst["sets"][0]
         if isinstance(space, FiniteSpace):
-            a = mask_of(inst["subsets"][0], space.n)
             flags = space.classify(a)
             if flags.preopen:
                 if space.pre_theta_closure(a) != space.preclosure(a):
@@ -565,40 +672,30 @@ def _p41():
                 if space.preclosure(a) != space.closure(a):
                     return False
             return True
-        from topolab.properties import (
-            _sym_saturate, _template_from_json, template_flags)
-        from topolab.skeleton import SymbolicIncomplete
-
-        t = _template_from_json(space, inst["templates"][0])
         try:
-            flags = template_flags(space, t)
+            flags = space.classify(a)
             if flags.preopen:
-                if _sym_saturate(space, "pcl-theta", t) != _sym_saturate(
-                        space, "pcl", t):
+                if _sym_saturate(space, "pcl-theta", a) != _sym_saturate(
+                        space, "pcl", a):
                     return False
             if flags.preregular and not flags.pre_theta_closed:
                 return False
         except SymbolicIncomplete:
             return None
         if flags.semi_open:
-            if _sym_saturate(space, "pcl", t) != _sym_saturate(space, "cl", t):
+            if _sym_saturate(space, "pcl", a) != _sym_saturate(space, "cl", a):
                 return False
         return True
 
-    return gen, pred
+    return _sets(), pred
 
 
 @_claim("L2A", "preopen intersected with semi-open is preopen in the "
                "subspace; preopen in a preopen subspace is preopen",
         ("finite",))
 def _l2a():
-    def gen(space, ctx):
-        for a, b in _subset_pairs(space, ctx):
-            yield {"subsets": [list(points_of(a)), list(points_of(b))]}
-
     def pred(space, inst):
-        a = mask_of(inst["subsets"][0], space.n)
-        b = mask_of(inst["subsets"][1], space.n)
+        a, b = inst["sets"]
         ok = True
         if b:
             fa = space.classify(a)
@@ -611,39 +708,29 @@ def _l2a():
                     ok = ok and space.classify(a).preopen
         return ok
 
-    return gen, pred
+    return _pairs, pred
 
 
 @_claim("L2", "relative preclosure inside a semi-open subspace is below "
               "the ambient preclosure", ("finite",), expected_status="empirical")
 def _l2():
-    def gen(space, ctx):
-        for a, b in _subset_pairs(space, ctx):
-            yield {"subsets": [list(points_of(a)), list(points_of(b))]}
-
     def pred(space, inst):
-        a = mask_of(inst["subsets"][0], space.n)  # the semi-open superset
-        b = mask_of(inst["subsets"][1], space.n)  # the subset
+        a, b = inst["sets"]  # the semi-open superset, the subset
         if not a or b & ~a or not space.classify(a).semi_open:
             return True
         sub, relabel = space.subspace(a)
         pcl_rel = _parent_mask(relabel, sub.preclosure(_sub_mask(relabel, b)))
         return pcl_rel & ~space.preclosure(b) == 0
 
-    return gen, pred
+    return _pairs, pred
 
 
 @_claim("L3", "ambient preclosure of a relatively preopen set is below its "
               "relative preclosure in a preopen subspace", ("finite",),
         expected_status="empirical")
 def _l3():
-    def gen(space, ctx):
-        for a, b in _subset_pairs(space, ctx):
-            yield {"subsets": [list(points_of(a)), list(points_of(b))]}
-
     def pred(space, inst):
-        a = mask_of(inst["subsets"][0], space.n)  # the subset
-        b = mask_of(inst["subsets"][1], space.n)  # the preopen superset
+        a, b = inst["sets"]  # the subset, the preopen superset
         if not b or a & ~b or not space.classify(b).preopen:
             return True
         sub, relabel = space.subspace(b)
@@ -652,38 +739,15 @@ def _l3():
         pcl_rel = _parent_mask(relabel, sub.preclosure(_sub_mask(relabel, a)))
         return space.preclosure(a) & ~pcl_rel == 0
 
-    return gen, pred
+    return _pairs, pred
 
 
 @_claim("LP1", "preirresolute (precontinuous) maps are exactly those "
                "shrinking preclosures into preclosures (closures)",
         ("finite",))
 def _lp1():
-    def gen(space, ctx):
-        if space.n > 3:
-            for _ in range(ctx.budget):
-                m = ctx.rng.randint(1, 3)
-                cod = ctx.rng.choice(all_topologies(m))
-                yield {
-                    "codomain": space_to_json(cod),
-                    "assignment": [ctx.rng.randrange(m) for _ in range(space.n)],
-                }
-            return
-        for m in range(1, 4):
-            for cod in all_topologies(m):
-                for pick in range(m ** space.n):
-                    assignment = []
-                    v = pick
-                    for _ in range(space.n):
-                        assignment.append(v % m)
-                        v //= m
-                    yield {
-                        "codomain": space_to_json(cod),
-                        "assignment": assignment,
-                    }
-
     def pred(space, inst):
-        cod = space_from_json(inst["codomain"])
+        cod = inst["codomain"]
         f = SpaceMap(space, cod, tuple(inst["assignment"]))
         flags = map_classify(f)
         shrink_pcl = all(
@@ -696,42 +760,24 @@ def _lp1():
         )
         return flags.preirresolute == shrink_pcl and flags.precontinuous == shrink_cl
 
-    return gen, pred
-
-
-def _skel_semiregular_proper(space):
-    for t, flags in classified_templates(space):
-        if flags.semi_regular and not t.is_empty() and not t.is_full():
-            yield t
+    return _maps(onto=False), pred
 
 
 @_claim("T5", "a hyperdisconnected space whose proper semi-regular "
               "subspaces are all p-closed is p-closed", ("finite", "skeleton"))
 def _t5():
     def pred(space, inst):
-        if isinstance(space, FiniteSpace):
-            if not check_simple(space, "hyperdisconnected"):
-                return True
-            for a in range(1, space.full):
-                if space.classify(a).semi_regular:
-                    sub, _ = space.subspace(a)
-                    if check_cover(sub, "p-closed").outcome is not True:
-                        return True  # hypothesis fails
-            return check_cover(space, "p-closed").outcome
         if not check_simple(space, "hyperdisconnected"):
             return True
-        hypo = True
-        for t in _skel_semiregular_proper(space):
-            sub_pc = subspace_p_closed(space, t)
+        for a in _flagged(space, "semi_regular"):
+            if _trivial(space, a):
+                continue
+            sub_pc = subspace_p_closed(space, a)
             if sub_pc is None:
                 return None
             if sub_pc is False:
-                hypo = False
-                break
-        if not hypo:
-            return True
-        pc = _cover_outcome(space, "p-closed")
-        return pc
+                return True  # the hypothesis fails
+        return _cover_outcome(space, "p-closed")
 
     return _whole_space_gen, pred
 
@@ -740,28 +786,14 @@ def _t5():
               "forces p-closedness", ("finite", "skeleton"))
 def _t6():
     def pred(space, inst):
-        if isinstance(space, FiniteSpace):
-            for a in range(1, space.full):
-                if space.classify(a).semi_regular:
-                    sub1, _ = space.subspace(a)
-                    sub2, _ = space.subspace(space.full ^ a)
-                    if (check_cover(sub1, "p-closed").outcome is True
-                            and check_cover(sub2, "p-closed").outcome is True):
-                        return check_cover(space, "p-closed").outcome is True
-            return True
-        from topolab.skeleton import sym_complement
-
-        for t in _skel_semiregular_proper(space):
-            comp = sym_complement(space, t)
-            pc1 = subspace_p_closed(space, t)
-            pc2 = subspace_p_closed(space, comp)
+        for a in _flagged(space, "semi_regular"):
+            if _trivial(space, a):
+                continue
+            pc1 = subspace_p_closed(space, a)
+            pc2 = subspace_p_closed(space, _complement(space, a))
             if pc1 is True and pc2 is True:
-                pc = _cover_outcome(space, "p-closed")
-                if pc is None:
-                    return None
-                if not pc:
-                    return False
-            elif pc1 is None or pc2 is None:
+                return _cover_outcome(space, "p-closed")
+            if pc1 is None or pc2 is None:
                 return None
         return True
 
@@ -771,35 +803,18 @@ def _t6():
 @_claim("T7", "preregular subsets of p-closed spaces are p-closed "
               "subspaces", ("finite", "skeleton"))
 def _t7():
-    def gen(space, ctx):
-        if isinstance(space, FiniteSpace):
-            for s in _subsets(space, ctx):
-                yield {"subsets": [list(points_of(s))]}
-        else:
-            for t, flags in classified_templates(space):
-                if flags.preregular and not t.is_empty():
-                    yield {"templates": [t.to_json()]}
-
     def pred(space, inst):
-        if isinstance(space, FiniteSpace):
-            a = mask_of(inst["subsets"][0], space.n)
-            if not a or not space.classify(a).preregular:
-                return True
-            if check_cover(space, "p-closed").outcome is not True:
-                return True
-            sub, _ = space.subspace(a)
-            return check_cover(sub, "p-closed").outcome is True
-        from topolab.properties import _template_from_json
-
-        t = _template_from_json(space, inst["templates"][0])
+        a = inst["sets"][0]
+        if not space.classify(a).preregular:
+            return True
         pc = _cover_outcome(space, "p-closed")
         if pc is False:
             return True
         if pc is None:
             return None
-        return subspace_p_closed(space, t)
+        return subspace_p_closed(space, a)
 
-    return gen, pred
+    return _sets("preregular", nonempty=True), pred
 
 
 @_claim("TN1", "p-closed spaces are pre-theta-compact", ("finite", "skeleton"))
@@ -820,42 +835,35 @@ def _tn1():
 def _tn2():
     def gen(space, ctx):
         if isinstance(space, FiniteSpace):
-            for a, b in _subset_pairs(space, ctx):
-                yield {"subsets": [list(points_of(a)), list(points_of(b))]}
-        else:
-            temps = [(t.to_json(), f) for t, f in classified_templates(space)]
-            for j1, f1 in temps:
-                if not f1.pre_theta_closed:
-                    continue
-                for j2, _f2 in temps:
-                    yield {"templates": [j1, j2]}
+            yield from _pairs(space, ctx)
+            return
+        temps = classified_templates(space)
+        for t1, f1 in temps:
+            if f1.pre_theta_closed:
+                for t2, _f2 in temps:
+                    yield {"sets": [t1, t2]}
 
     def pred(space, inst):
+        a, b = inst["sets"]
         if isinstance(space, FiniteSpace):
-            a = mask_of(inst["subsets"][0], space.n)
-            b = mask_of(inst["subsets"][1], space.n)
             if not space.classify(a).pre_theta_closed:
                 return True
-            if check_cover_relative(space, b, "p-closed").outcome is not True:
+            if _relative_p_closed(space, b) is not True:
                 return True
-            return check_cover_relative(space, a & b, "p-closed").outcome is True
-        from topolab.properties import _template_from_json
-
-        t1 = _template_from_json(space, inst["templates"][0])
-        t2 = _template_from_json(space, inst["templates"][1])
-        rel = check_cover_relative(space, t2, "p-closed").outcome
+            return _relative_p_closed(space, a & b) is True
+        rel = _relative_p_closed(space, b)
         if rel is False:
             return True
         if rel is None:
             return None
         # the intersection is not template-determined in general; decide
         # through cardinality or triviality
-        if not t2.has_infinite_part():
+        if not b.has_infinite_part():
             return True  # any intersection is finite, hence relatively p-closed
-        if t1.is_empty():
+        if a.is_empty():
             return True
-        if t1.is_full():
-            return True  # intersection is t2 itself, rel-p-closed by hypothesis
+        if a.is_full():
+            return True  # intersection is b itself, rel-p-closed by hypothesis
         return None
 
     return gen, pred
@@ -864,34 +872,18 @@ def _tn2():
 @_claim("C45", "pre-theta-closed sets of p-closed spaces are p-closed "
                "relative to the space", ("finite", "skeleton"))
 def _c45():
-    def gen(space, ctx):
-        if isinstance(space, FiniteSpace):
-            for s in _subsets(space, ctx):
-                yield {"subsets": [list(points_of(s))]}
-        else:
-            for t, flags in classified_templates(space):
-                if flags.pre_theta_closed:
-                    yield {"templates": [t.to_json()]}
-
     def pred(space, inst):
-        if isinstance(space, FiniteSpace):
-            a = mask_of(inst["subsets"][0], space.n)
-            if not space.classify(a).pre_theta_closed:
-                return True
-            if check_cover(space, "p-closed").outcome is not True:
-                return True
-            return check_cover_relative(space, a, "p-closed").outcome is True
-        from topolab.properties import _template_from_json
-
-        t = _template_from_json(space, inst["templates"][0])
+        a = inst["sets"][0]
+        if not space.classify(a).pre_theta_closed:
+            return True
         pc = _cover_outcome(space, "p-closed")
         if pc is False:
             return True
         if pc is None:
             return None
-        return check_cover_relative(space, t, "p-closed").outcome
+        return _relative_p_closed(space, a)
 
-    return gen, pred
+    return _sets("pre_theta_closed"), pred
 
 
 @_claim("TN3", "on predisconnected spaces: p-closed iff every preregular "
@@ -901,22 +893,12 @@ def _tn3():
     def pred(space, inst):
         if not check_simple(space, "predisconnected"):
             return True
-        if isinstance(space, FiniteSpace):
-            pc = check_cover(space, "p-closed").outcome is True
-            rhs = all(
-                check_cover_relative(space, a, "p-closed").outcome is True
-                for a in range(space.full + 1)
-                if space.classify(a).preregular
-            )
-            return pc == rhs
         pc = _cover_outcome(space, "p-closed")
         if pc is None:
             return None
         rhs = True
-        for t, flags in classified_templates(space):
-            if not flags.preregular:
-                continue
-            v = check_cover_relative(space, t, "p-closed").outcome
+        for a in _flagged(space, "preregular"):
+            v = _relative_p_closed(space, a)
             if v is None:
                 return None
             if v is False:
@@ -932,30 +914,14 @@ def _tn3():
         ("finite", "skeleton"))
 def _tn4():
     def pred(space, inst):
-        if isinstance(space, FiniteSpace):
-            for a in range(1, space.full):
-                if not space.classify(a).preregular:
-                    continue
-                if (check_cover_relative(space, a, "p-closed").outcome is True and
-                        check_cover_relative(space, space.full ^ a, "p-closed")
-                        .outcome is True):
-                    return check_cover(space, "p-closed").outcome is True
-            return True
-        from topolab.skeleton import sym_complement
-
-        for t, flags in classified_templates(space):
-            if not flags.preregular or t.is_empty() or t.is_full():
+        for a in _flagged(space, "preregular"):
+            if _trivial(space, a):
                 continue
-            v1 = check_cover_relative(space, t, "p-closed").outcome
-            v2 = check_cover_relative(
-                space, sym_complement(space, t), "p-closed").outcome
+            v1 = _relative_p_closed(space, a)
+            v2 = _relative_p_closed(space, _complement(space, a))
             if v1 is True and v2 is True:
-                pc = _cover_outcome(space, "p-closed")
-                if pc is None:
-                    return None
-                if not pc:
-                    return False
-            elif v1 is None or v2 is None:
+                return _cover_outcome(space, "p-closed")
+            if v1 is None or v2 is None:
                 return None
         return True
 
@@ -965,155 +931,76 @@ def _tn4():
 @_claim("TN5", "semi-open p-closed subspaces are p-closed relative to the "
                "space", ("finite", "skeleton"))
 def _tn5():
-    def gen(space, ctx):
-        if isinstance(space, FiniteSpace):
-            for s in _subsets(space, ctx):
-                yield {"subsets": [list(points_of(s))]}
-        else:
-            for t, flags in classified_templates(space):
-                if flags.semi_open and not t.is_empty():
-                    yield {"templates": [t.to_json()]}
-
     def pred(space, inst):
-        if isinstance(space, FiniteSpace):
-            a = mask_of(inst["subsets"][0], space.n)
-            if not a or not space.classify(a).semi_open:
-                return True
-            sub, _ = space.subspace(a)
-            if check_cover(sub, "p-closed").outcome is not True:
-                return True
-            return check_cover_relative(space, a, "p-closed").outcome is True
-        from topolab.properties import _template_from_json
-
-        t = _template_from_json(space, inst["templates"][0])
-        sub_pc = subspace_p_closed(space, t)
+        a = inst["sets"][0]
+        if not space.classify(a).semi_open:
+            return True
+        sub_pc = subspace_p_closed(space, a)
         if sub_pc is False:
             return True
         if sub_pc is None:
             return None
-        return check_cover_relative(space, t, "p-closed").outcome
+        return _relative_p_closed(space, a)
 
-    return gen, pred
+    return _sets("semi_open", nonempty=True), pred
 
 
 @_claim("TN6", "preopen sets p-closed relative to the space are p-closed "
                "subspaces", ("finite", "skeleton"))
 def _tn6():
-    def gen(space, ctx):
-        if isinstance(space, FiniteSpace):
-            for s in _subsets(space, ctx):
-                yield {"subsets": [list(points_of(s))]}
-        else:
-            for t, flags in classified_templates(space):
-                if flags.preopen and not t.is_empty():
-                    yield {"templates": [t.to_json()]}
-
     def pred(space, inst):
-        if isinstance(space, FiniteSpace):
-            a = mask_of(inst["subsets"][0], space.n)
-            if not a or not space.classify(a).preopen:
-                return True
-            if check_cover_relative(space, a, "p-closed").outcome is not True:
-                return True
-            sub, _ = space.subspace(a)
-            return check_cover(sub, "p-closed").outcome is True
-        from topolab.properties import _template_from_json
-
-        t = _template_from_json(space, inst["templates"][0])
-        rel = check_cover_relative(space, t, "p-closed").outcome
+        a = inst["sets"][0]
+        if not space.classify(a).preopen:
+            return True
+        rel = _relative_p_closed(space, a)
         if rel is False:
             return True
         if rel is None:
             return None
-        return subspace_p_closed(space, t)
+        return subspace_p_closed(space, a)
 
-    return gen, pred
+    return _sets("preopen", nonempty=True), pred
 
 
 @_claim("C-ALPHA", "for alpha-open sets: p-closed subspace iff p-closed "
                    "relative to the space", ("finite", "skeleton"))
 def _c_alpha():
-    def gen(space, ctx):
-        if isinstance(space, FiniteSpace):
-            for s in _subsets(space, ctx):
-                yield {"subsets": [list(points_of(s))]}
-        else:
-            for t, flags in classified_templates(space):
-                if flags.alpha_open and not t.is_empty():
-                    yield {"templates": [t.to_json()]}
-
     def pred(space, inst):
-        if isinstance(space, FiniteSpace):
-            a = mask_of(inst["subsets"][0], space.n)
-            if not a or not space.classify(a).alpha_open:
-                return True
-            sub, _ = space.subspace(a)
-            sub_pc = check_cover(sub, "p-closed").outcome is True
-            rel = check_cover_relative(space, a, "p-closed").outcome is True
-            return sub_pc == rel
-        from topolab.properties import _template_from_json
-
-        t = _template_from_json(space, inst["templates"][0])
-        sub_pc = subspace_p_closed(space, t)
-        rel = check_cover_relative(space, t, "p-closed").outcome
+        a = inst["sets"][0]
+        if not space.classify(a).alpha_open:
+            return True
+        sub_pc = subspace_p_closed(space, a)
+        rel = _relative_p_closed(space, a)
         if sub_pc is None or rel is None:
             return None
         return sub_pc == rel
 
-    return gen, pred
+    return _sets("alpha_open", nonempty=True), pred
 
 
 @_claim("T-IMG", "preirresolute (precontinuous) surjections push sets "
                  "p-closed relative to the domain to sets p-closed (qhc) "
                  "relative to the codomain", ("finite",))
 def _t_img():
-    def gen(space, ctx):
-        if space.n > 3:
-            for _ in range(ctx.budget):
-                m = ctx.rng.randint(1, 3)
-                cod = ctx.rng.choice(all_topologies(m))
-                assignment = [ctx.rng.randrange(m) for _ in range(space.n)]
-                if set(assignment) != set(range(m)):
-                    continue
-                yield {
-                    "codomain": space_to_json(cod),
-                    "assignment": assignment,
-                }
-            return
-        for m in range(1, 4):
-            for cod in all_topologies(m):
-                for pick in range(m ** space.n):
-                    assignment = []
-                    v = pick
-                    for _ in range(space.n):
-                        assignment.append(v % m)
-                        v //= m
-                    if set(assignment) != set(range(m)):
-                        continue  # surjections only
-                    yield {
-                        "codomain": space_to_json(cod),
-                        "assignment": assignment,
-                    }
-
     def pred(space, inst):
-        cod = space_from_json(inst["codomain"])
+        cod = inst["codomain"]
         f = SpaceMap(space, cod, tuple(inst["assignment"]))
         flags = map_classify(f)
         if not (flags.preirresolute or flags.precontinuous):
             return True
         for k in range(space.full + 1):
-            if check_cover_relative(space, k, "p-closed").outcome is not True:
+            if _relative_p_closed(space, k) is not True:
                 continue
             img = f.image(k)
             if flags.preirresolute:
-                if check_cover_relative(cod, img, "p-closed").outcome is not True:
+                if _relative_p_closed(cod, img) is not True:
                     return False
             if flags.precontinuous:
                 if check_cover_relative(cod, img, "qhc").outcome is not True:
                     return False
         return True
 
-    return gen, pred
+    return _maps(onto=True), pred
 
 
 @_claim("C-TOPINV", "p-closedness and its companions are topological "
@@ -1149,14 +1036,11 @@ def _remark():
             return
         yield {"fact": "factors-p-closed"}
         yield {"fact": "product-not-p-closed"}
-        for t, flags in classified_templates(space):
-            if flags.preregular and not t.is_empty() and not t.is_full():
-                yield {"fact": "preregular-relative", "templates": [t.to_json()]}
+        for t in _flagged(space, "preregular"):
+            if not _trivial(space, t):
+                yield {"fact": "preregular-relative", "sets": [t]}
 
     def pred(space, inst):
-        from topolab.properties import _template_from_json
-        from topolab.skeleton import remark_product_factors
-
         if inst["fact"] == "factors-p-closed":
             f1, f2 = remark_product_factors()
             v1 = check_cover(f1, "p-closed").outcome
@@ -1169,8 +1053,7 @@ def _remark():
             if pc is None:
                 return None
             return pc is False
-        t = _template_from_json(space, inst["templates"][0])
-        return check_cover_relative(space, t, "p-closed").outcome
+        return _relative_p_closed(space, inst["sets"][0])
 
     return gen, pred
 
@@ -1215,8 +1098,6 @@ def _space_kind(space) -> str:
 
 
 def _run_on_space(cid, label, space, seed, budget, exhaustive):
-    from topolab.skeleton import SymbolicAmbiguity, SymbolicIncomplete
-
     rng = random.Random(f"{seed}|{cid}|{label}")
     ctx = Ctx(rng=rng, exhaustive=exhaustive, budget=budget)
     checked = 0
@@ -1236,7 +1117,7 @@ def _run_on_space(cid, label, space, seed, budget, exhaustive):
                 violations.append({
                     "space": space_to_json(space),
                     "label": label,
-                    "instance": inst,
+                    "instance": _instance_json(space, inst),
                 })
     except (SymbolicIncomplete, SymbolicAmbiguity):
         unknowns += 1
@@ -1277,7 +1158,6 @@ def _run_universe_claim(cid, universe: Universe):
         return checked, violations, unknowns, extra
     if cid == "C-PROD":
         from topolab.core import product as fs_product
-        from topolab.skeleton import remark_product_factors
 
         finites = [sp for _l, sp in universe.spaces()
                    if isinstance(sp, FiniteSpace) and sp.n <= 3]
@@ -1416,7 +1296,7 @@ def _l3_direction_summary(universe: Universe, seed: int) -> dict:
 def replay(record: dict, cid: str):
     """Re-evaluate one recorded violation; returns the predicate value."""
     space = space_from_json(record["space"])
-    return _PREDS[cid](space, record["instance"])
+    return _PREDS[cid](space, _instance_from_json(space, record["instance"]))
 
 
 # -- counterexample hunts ------------------------------------------------------------

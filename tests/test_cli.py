@@ -372,6 +372,21 @@ def test_bad_symbolic_set_exit_three(capsys, tmp_path, text):
     assert out == ""
 
 
+@pytest.mark.parametrize("literal", [
+    "\u0661",  # an Arabic-Indic digit one
+    " 1",
+    "+1",
+    "1,,0",
+    "2",  # outside the two-point carrier
+])
+def test_bad_set_literal_exit_three(capsys, literal):
+    code, out, err = run(capsys, "ops", "--space", "catalog:sierpinski",
+                         "--set", literal, "--op", "cl")
+    assert code == 3
+    assert err.startswith("error: bad set literal") and len(err.splitlines()) == 1
+    assert out == ""
+
+
 @pytest.mark.parametrize("samples", ["-5", "0"])
 def test_verify_samples_below_one_exit_three(capsys, samples):
     code, out, err = run(capsys, "verify", "--claims", "T1",

@@ -1,14 +1,18 @@
-"""Fuzzed input to the two text parsers: every text either parses, and then
-survives a format/parse round trip, or is refused with the parser's own
-error (which the CLI turns into exit 3), never with another exception."""
+"""Fuzzed input to the two text parsers and to the symbolic-set reader:
+every input either parses, and then survives a format/parse round trip, or
+is refused with the parser's own error (which the CLI turns into exit 3),
+never with another exception."""
+
+import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topolab.core import (TopologyError, build_space, discrete, excluded_point,
                           format_topo, parse_topo, sierpinski)
-from topolab.skeleton import (SkeletonError, SkeletonSpace, catalog, catalog_names,
-                              format_skel, parse_skel)
+from topolab.skeleton import (SkeletonError, SkeletonSpace, SymbolicSet,
+                              all_symbolic_sets, catalog, catalog_names, format_skel,
+                              parse_skel)
 
 TOPO_SEEDS = tuple(format_topo(sp) for sp in (
     sierpinski(), discrete(3), excluded_point(4), build_space(4, [0b0011, 0b0110])))
@@ -66,3 +70,44 @@ def test_parse_skel_parses_or_raises_skeleton_error(text):
     except SkeletonError:
         return
     assert parse_skel(format_skel(space)) == space
+
+
+SKELETONS = tuple(parse_skel(text) for text in SKEL_SEEDS)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12)
+PATTERNS = st.sampled_from(["-", "", "e0", "e1", "e2", "e0,e1", "e1,e0", "e0,e0",
+                            "e0,e1,e2", "1", "e 1", "ee1", "e\u0661", "e99999"])
+COUNTS = st.one_of(st.integers(-2, 4), st.sampled_from(["fin", "inf", "FIN", True, 1.0]),
+                   JSON_VALUES)
+
+
+@st.composite
+def symbolic_set_json(draw):
+    """A skeleton and a JSON value for it: any value, or one shaped like
+    ``SymbolicSet.to_json`` with node names, patterns and counts drawn
+    mostly from valid ones."""
+    sp = draw(st.sampled_from(SKELETONS))
+    names = st.one_of(st.sampled_from([nd.name for nd in sp.nodes]), st.text(max_size=3))
+    shaped = st.dictionaries(names, st.dictionaries(PATTERNS, COUNTS, max_size=3),
+                             max_size=3)
+    return sp, draw(st.one_of(JSON_VALUES, shaped))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symbolic_set_json())
+def test_symbolic_set_from_json_reads_or_raises_skeleton_error(case):
+    sp, data = case
+    try:
+        t = SymbolicSet.from_json(sp, data)
+    except SkeletonError:
+        return
+    assert SymbolicSet.from_json(sp, t.to_json()) == t
+
+
+def test_every_catalog_template_round_trips_through_json():
+    for sp in SKELETONS:
+        for t in all_symbolic_sets(sp):
+            assert SymbolicSet.from_json(sp, json.loads(json.dumps(t.to_json()))) == t

@@ -605,21 +605,35 @@ def test_top_class_rules_match_the_scans_on_every_finite_space(n):
         _assert_rules_match(sp, _scan_simple, TOP_CLASS_PROPERTIES, sp)
 
 
+def _boundary_has_inf(space, t):
+    """Is the boundary cl(t) - int(t) of the set infinite?"""
+    from topolab.skeleton import Config
+
+    cfg = Config.of(space, t)
+    diff = cfg.op_diff(cfg.op_cl(0), cfg.op_int(0))
+    return any(pats[diff] and card == INF
+               for node_groups in cfg.groups for card, pats, _m in node_groups)
+
+
 def _template_simple(space, name):
     """Reference: the template searches these properties were decided with
-    on skeletons before the top-class rules."""
-    from topolab.properties import _sym_saturate, template_flags
+    on skeletons before the top-class rules and the probe-row rule of
+    aleph0-ed."""
+    from topolab.properties import _sym_saturate
     from topolab.skeleton import sym_complement
 
     templates = classified_templates(space)
+    if name == "aleph0-ed":
+        return space.finite or not any(
+            flags.regular_open and _boundary_has_inf(space, t) for t, flags in templates)
     if name == "submaximal":
         return all(flags.open for t, flags in templates if flags.dense)
     if name == "resolvable":
         return any(
-            flags.dense and template_flags(space, sym_complement(space, t)).dense
+            flags.dense and space.classify(sym_complement(space, t)).dense
             for t, flags in templates)
     if name == "extremally-disconnected":
-        return all(template_flags(space, _sym_saturate(space, "cl", t)).open
+        return all(space.classify(_sym_saturate(space, "cl", t)).open
                    for t, flags in templates if flags.open)
     if name == "preconnected":
         return not any(flags.preregular and not t.is_empty() and not t.is_full()
@@ -630,7 +644,7 @@ def _template_simple(space, name):
 
 
 TEMPLATE_SEARCHED = ("submaximal", "resolvable", "hyperconnected",
-                     "extremally-disconnected", "preconnected")
+                     "extremally-disconnected", "preconnected", "aleph0-ed")
 
 
 def _finite_probe_spaces(sk):
@@ -704,8 +718,8 @@ def test_rule_verdicts_match_the_benchmark_reference():
 
     ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "omega-sweep.json"
     table = json.loads(ref.read_text(encoding="utf-8"))["table"]
-    props = [p for p in TOP_CLASS_PROPERTIES if p in table[0]["verdicts"]]
-    assert len(props) == 6  # the sweep leaves strongly-irresolvable out
+    props = [p for p in TOP_CLASS_PROPERTIES + ("aleph0-ed",) if p in table[0]["verdicts"]]
+    assert len(props) == 7  # the sweep leaves strongly-irresolvable out
     for row in table:
         sk = parse_skel(row["skeleton"])
         _assert_rules_match(sk, lambda _sk, prop: row["verdicts"][prop], props,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from topolab.core import FiniteSpace
 from topolab.skeleton import catalog, format_skel
 from topolab.verify import (
     CLAIMS,
@@ -192,6 +193,42 @@ def test_equal_json_parses_to_one_space():
     skels = [space_from_json({"kind": "skeleton", "skel": t}) for t in texts]
     assert skels[0] is not skels[1]
     assert space_from_json({"kind": "skeleton", "skel": texts[0]}) is skels[0]
+
+
+@pytest.mark.parametrize("universe", ["catalog", "exhaustive:3"])
+def test_instances_survive_the_record_codec(universe):
+    """A recorded instance reads back equal to the one that was run, and the
+    predicate answers the same on both: replaying a record is running it."""
+    import itertools
+    import random
+
+    from topolab.skeleton import SymbolicAmbiguity, SymbolicIncomplete
+    from topolab.verify import _GENS, _PREDS, Ctx, _instance_from_json, _instance_json
+
+    def value(pred, space, inst):
+        try:
+            return pred(space, inst)
+        except (SymbolicIncomplete, SymbolicAmbiguity):
+            return None
+
+    kinds = set()
+    for cid, claim in sorted(CLAIMS.items()):
+        if "universe" in claim.kinds:
+            continue
+        for label, space in Universe.parse(universe).spaces():
+            if ("finite" if isinstance(space, FiniteSpace) else "skeleton") not in claim.kinds:
+                continue
+            ctx = Ctx(rng=random.Random(f"codec|{cid}|{label}"))
+            for inst in itertools.islice(_GENS[cid](space, ctx), 200):
+                record = json.loads(json.dumps(_instance_json(space, inst)))
+                back = _instance_from_json(space, record)
+                assert back == inst, (cid, label, record)
+                assert value(_PREDS[cid], space, back) == value(
+                    _PREDS[cid], space, inst), (cid, label, record)
+                kinds.update(record)
+    assert {"subsets", "codomain", "assignment", "samples"} <= kinds
+    if universe == "catalog":
+        assert {"templates", "fact"} <= kinds
 
 
 def test_c_topinv_on_exhaustive3():

@@ -12,10 +12,13 @@ pivot search (a class whose every admissible template saturates to the
 whole carrier) proving success.  Neither search is complete; Unknown is a
 legal outcome away from the catalog.
 
-Every simple property but the p-regularity trio is decided from top
-classes: a finite space passes its up-set rows, a skeleton the rows of its
-validation probe (see ``_top_class_simple``).  aleph0-ed holds outright on
-a finite space and reads the probe rows of a skeleton (``_aleph0_ed``).
+Every simple property is decided from top classes, but for the
+p-regularity trio on skeletons with omega nodes, which searches templates
+for separating preopen sets.  A finite space passes its up-set rows, a
+skeleton the rows of its validation probe (see ``_top_class_simple``).
+aleph0-ed holds outright on a finite space and reads the probe rows of a
+skeleton (``_aleph0_ed``); the trio reads the rows on finite carriers
+(``_p_regularity``).
 """
 
 from __future__ import annotations
@@ -455,21 +458,43 @@ def _top_class_simple(rows, name: str) -> bool:
     return len(tops.classes) == 1  # hyperconnected
 
 
-def _finite_p_regularity(space: FiniteSpace, name: str) -> bool:
-    full = space.full
-    kind = _SEPARATED_CLASS[name]
-    po = space.preopen_masks
-    for f in range(full + 1):
-        if not getattr(space.classify(f), kind):
-            continue
-        for x in bits(full ^ f):
-            # disjoint preopen separation iff some preopen V >= F
-            # has x outside pcl(V)
-            if not any(
-                f & ~v == 0 and not space.preclosure(v) >> x & 1 for v in po
-            ):
-                return False
-    return True
+def _p_regularity(rows, name: str) -> bool:
+    """Decide the p-regularity trio from the up-set rows of a finite
+    Alexandrov space: strongly p-regular iff p-regular iff no row holds a
+    one-point top class other than its own point, and almost p-regular iff
+    no row that holds a one-point top class meets a second top class.
+
+    Top classes, Top and S are those of ``_top_class_simple``.  The largest
+    preopen set missing a set V is the complement of pcl V, so a point x
+    outside F is separated from F by disjoint preopen sets iff x misses the
+    hull of F, the meet of pcl V over the preopen sets V holding F:
+    - a set is preopen iff it meets every top class above each of its
+      points, so the minimal preopen sets holding F add to it S ∩ ↑F and
+      one point of each larger top class above F that F misses;
+    - such a point leaves the interior unchanged (its class is not inside
+      the set), and it can be any point of its class, so the hull of F is
+      pcl(F ∪ (S ∩ ↑F)), which is F itself when F is preclosed and S ∩ ↑F
+      lies in F;
+    - a row holding s in S other than its own point gives the closed set F
+      = ↓x with s in S ∩ ↑F but not in F, so the space is not p-regular,
+      and if no row does, S ∩ ↑F lies in F for every F, so every preclosed
+      F is separated from every outside point;
+    - a regular closed set is ↓T for a set T of top classes; if the row of
+      x holds s in S and meets a top class C other than {s}, then s lies in
+      S ∩ ↑↓C but not in ↓C, and otherwise every point of S ∩ ↑↓T lies in
+      T.
+
+    A finite space passes its ``min_nbhd``, an all-finite skeleton its
+    ``probe_rows``.  The probe is exact for the reasons ``_top_class_simple``
+    gives: whether a top class has one point, whether a row holds a point of
+    another class or copy, and whether a row meets one top class or two and
+    more read the same with 3 copies of a node as with more.
+    """
+    tops = top_classes(rows)
+    if name == "almost-p-regular":
+        return all(not r & tops.single or sum(1 for c in tops.classes if c & r) == 1
+                   for r in rows)
+    return all(not r & tops.single & ~(1 << x) for x, r in enumerate(rows))
 
 
 def _exists_separating_preopen(space, f_set, node, group_pat, elem) -> bool:
@@ -567,10 +592,8 @@ def _decide_simple(space, name: str) -> bool:
     if name == "aleph0-ed":
         # every boundary of a finite space is finite
         return finite or _aleph0_ed(space)
-    if finite:
-        return _finite_p_regularity(space, name)
-    if space.finite:
-        return _finite_p_regularity(expand(space)[0], name)
+    if finite or space.finite:
+        return _p_regularity(space.min_nbhd if finite else space.probe_rows, name)
     return _skel_p_regularity(space, name)
 
 

@@ -5,7 +5,10 @@ A skeleton is a finite list of nodes, each one a symmetry class of points:
 with copies of one node mutually unrelated (``antichain``) or all mutually
 related (``clique``), plus class-uniform order declarations between block
 elements of different nodes.  Open sets of the realized space are exactly
-the up-sets of the realized preorder.
+the up-sets of the realized preorder.  A skeleton holds that preorder once,
+as the up-set rows of its validation probe (omega as 3 copies, finite cards
+capped at 3), and reads the per-class masks of it, of its reverse and of
+the semiregularization preorder from rows of the probe's shape.
 
 Subsets of a realization are abstracted per node by how many copies carry
 each block-element pattern: an exact count for finite nodes, one of
@@ -170,7 +173,7 @@ class SkeletonSpace:
             for k, x in ((i, e), (j, f)):
                 if not 0 <= k < len(self.nodes) or not 0 <= x < self.nodes[k].size:
                     raise SkeletonError("relation endpoint out of range")
-        self._tables  # force validation
+        self.probe_rows  # force validation
 
     def node_index(self, name: str) -> int:
         for i, nd in enumerate(self.nodes):
@@ -178,7 +181,7 @@ class SkeletonSpace:
                 return i
         raise SkeletonError(f"unknown node {name!r}")
 
-    # -- probe realization and derived class-level tables -------------------
+    # -- the probe rows and the class masks read from them -----------------
 
     def probe_copies(self, omega_copies: int = 3) -> tuple[int, ...]:
         return tuple(
@@ -195,151 +198,94 @@ class SkeletonSpace:
                     pts.append((i, c, e))
         return pts
 
-    def _probe_base_leq(self, x, y) -> bool:
-        (i, c, e), (j, d, f) = x, y
-        if i == j:
-            if c == d:
-                return bool(self.nodes[i].block[e] >> f & 1)
-            if self.nodes[i].mode == "clique":
-                return True
-        return ((i, e), (j, f)) in self.rels if i != j else False
-
-    def _up_rows(self, points) -> list[int]:
-        """The up-set row of each point (node, copy, element) of a
-        realization: the mask, over ``points``, of the points above it."""
-        same, cross = self._tables
-        rows = []
-        for i, c, e in points:
-            m = 0
-            for y, (j, d, f) in enumerate(points):
-                key = ((i, e), (j, f))
-                if same[key] if (i == j and c == d) else cross[key]:
-                    m |= 1 << y
-            rows.append(m)
-        return rows
+    def _shifts(self, copies) -> list[range]:
+        """Per node, where each of its copies begins in ``_points(copies)``."""
+        out, start = [], 0
+        for k, nd in zip(copies, self.nodes):
+            size = len(nd.block)
+            out.append(range(start, start + k * size, size))
+            start += k * size
+        return out
 
     @cached_property
     def probe_rows(self) -> tuple[int, ...]:
-        """The up-set rows of the validation probe (``probe_copies()``)."""
-        return tuple(self._up_rows(self._points(self.probe_copies())))
-
-    @cached_property
-    def _tables(self):
-        """Class-level leq tables, validated for transitivity on a probe."""
-        copies = self.probe_copies()
-        pts = self._points(copies)
-        idx = {p: k for k, p in enumerate(pts)}
-        n = len(pts)
-        leq = [[self._probe_base_leq(x, y) for y in pts] for x in pts]
-        # transitivity check with a named witness
-        for a in range(n):
-            for b in range(n):
-                if a == b or not leq[a][b]:
-                    continue
-                for c in range(n):
-                    if leq[b][c] and not leq[a][c]:
-                        raise SkeletonError(
-                            "transitivity violation: "
-                            f"{self._point_name(pts[a])} <= {self._point_name(pts[b])}"
-                            f" <= {self._point_name(pts[c])} but not "
-                            f"{self._point_name(pts[a])} <= {self._point_name(pts[c])}"
-                        )
-        same = {}
-        cross = {}
-        for i, ni in enumerate(self.nodes):
-            for j, nj in enumerate(self.nodes):
-                for e in range(ni.size):
-                    for f in range(nj.size):
-                        if i == j:
-                            same[(i, e), (j, f)] = leq[idx[i, 0, e]][idx[j, 0, f]]
-                            if copies[i] > 1:
-                                c01 = leq[idx[i, 0, e]][idx[j, 1, f]]
-                                cross[(i, e), (j, f)] = c01
-                                if copies[i] > 2:
-                                    if leq[idx[i, 0, e]][idx[j, 2, f]] != c01:
-                                        raise SkeletonError("non-uniform relation")
-                                if c01 and not same[(i, e), (j, f)]:
-                                    raise SkeletonError("non-uniform relation")
-                            else:
-                                cross[(i, e), (j, f)] = False
-                        else:
-                            c0 = leq[idx[i, 0, e]][idx[j, 0, f]]
-                            for d in range(1, copies[j]):
-                                if leq[idx[i, 0, e]][idx[j, d, f]] != c0:
-                                    raise SkeletonError("non-uniform relation")
-                            same[(i, e), (j, f)] = c0
-                            cross[(i, e), (j, f)] = c0
-        return same, cross
+        """The up-set rows of the validation probe (``probe_copies()``), laid
+        out from the declared relation and checked transitive: the row of
+        every point of a row lies inside it.  Above a point (i, c, e) the
+        declaration puts the block row of e in copy c, every element of the
+        other copies of a clique node, and the elements of other nodes that
+        ``rels`` names.  Permuting the copies of a node maps this relation
+        to itself, so the rows of copy 0 are checked, and a failure there is
+        the first in carrier order."""
+        up_same = {(i, e): r for i, nd in enumerate(self.nodes) for e, r in enumerate(nd.block)}
+        up_cross = {(j, (i, e)): nd.full_pattern if j == i and nd.mode == "clique" else 0
+                    for j, nd in enumerate(self.nodes) for i, e in up_same}
+        for (i, e), (j, f) in self.rels:
+            up_cross[j, (i, e)] |= 1 << f
+        shifts = self._shifts(self.probe_copies())
+        rows = tuple(self._up_rows(shifts, (up_same, up_cross)))
+        for i, e in up_same:
+            a = shifts[i][0] + e
+            row = rows[a]
+            for b in bits(row):
+                missing = rows[b] & ~row
+                if missing:
+                    pts = self._points(self.probe_copies())
+                    x, y, z = (self._point_name(pts[k])
+                               for k in (a, b, (missing & -missing).bit_length() - 1))
+                    raise SkeletonError(
+                        f"transitivity violation: {x} <= {y} <= {z} but not {x} <= {z}")
+        return rows
 
     def _point_name(self, p):
         i, c, e = p
         return f"{self.nodes[i].name}.{c}.e{e}"
 
     @cached_property
-    def _s_tables(self):
-        """Semiregularization preorder tables, computed on the probe.
+    def _probe(self) -> FiniteSpace:
+        return FiniteSpace.from_rows(len(self.probe_rows), self.probe_rows)
 
-        x <=_s y iff y lies in the smallest regular open set around x;
-        delta-closure is the down-closure of this preorder.
-        """
-        copies = self.probe_copies()
-        pts = self._points(copies)
-        idx = {p: k for k, p in enumerate(pts)}
-        r = FiniteSpace.from_rows(len(pts), self.probe_rows)._min_regular_nbhd
-
-        def s_leq(a, p):
-            return bool(r[a] >> idx[p] & 1)
-
-        s_same = {}
-        s_cross = {}
+    def _class_masks(self, rows):
+        """The class masks of a class-uniform relation given by probe-shaped
+        rows (bit y of ``rows[x]`` when x is related to y): per node i and
+        element f, ``same[i, f]`` holds the elements e of i with (i, e)
+        related to (i, f) in one copy; per node pair, ``cross[i, (j, f)]``
+        holds those related to (j, f) in another copy (any copy when
+        j != i, none when node i has one copy).  Read from copy 0 of each
+        node; a relation that another copy breaks is rejected."""
+        shifts = self._shifts(self.probe_copies())
+        same = {(i, f): 0 for i, nd in enumerate(self.nodes) for f in range(nd.size)}
+        cross = {(i, jf): 0 for i in range(len(self.nodes)) for jf in same}
         for i, ni in enumerate(self.nodes):
-            for j, nj in enumerate(self.nodes):
-                for e in range(ni.size):
-                    for f in range(nj.size):
-                        a0 = idx[i, 0, e]
-                        if i == j:
-                            s_same[(i, e), (j, f)] = s_leq(a0, (j, 0, f))
-                            if copies[i] > 1:
-                                v = s_leq(a0, (j, 1, f))
-                                if copies[i] > 2 and s_leq(a0, (j, 2, f)) != v:
-                                    raise SkeletonError("non-uniform delta relation")
-                                s_cross[(i, e), (j, f)] = v
-                            else:
-                                s_cross[(i, e), (j, f)] = False
-                        else:
-                            v = s_leq(a0, (j, 0, f))
-                            for d in range(1, copies[j]):
-                                if s_leq(a0, (j, d, f)) != v:
-                                    raise SkeletonError("non-uniform delta relation")
-                            s_same[(i, e), (j, f)] = v
-                            s_cross[(i, e), (j, f)] = v
-        return s_same, s_cross
-
-    # masks: for node i, element f: which elements e have (i,e) <= (j,f)
-
-    def _down_masks(self, tables):
-        same, cross = tables
-        down_same = {}
-        down_cross = {}
-        for i, ni in enumerate(self.nodes):
-            for j, nj in enumerate(self.nodes):
-                for f in range(nj.size):
+            for e in range(ni.size):
+                row, bit = rows[shifts[i][0] + e], 1 << e
+                for j, nj in enumerate(self.nodes):
+                    full = nj.full_pattern
+                    segs = [row >> sh & full for sh in shifts[j]]
                     if i == j:
-                        down_same[i, f] = sum(
-                            1 << e for e in range(ni.size) if same[(i, e), (i, f)]
-                        )
-                    down_cross[(i, (j, f))] = sum(
-                        1 << e for e in range(ni.size) if cross[(i, e), (j, f)]
-                    )
-        return down_same, down_cross
+                        own = segs.pop(0)
+                        for f in bits(own):
+                            same[i, f] |= bit
+                    if not segs:
+                        continue
+                    if len(set(segs)) > 1 or i == j and segs[0] & ~own:
+                        raise SkeletonError("non-uniform relation")
+                    for f in bits(segs[0]):
+                        cross[i, (j, f)] |= bit
+        return same, cross
 
     @cached_property
     def down_masks(self):
-        return self._down_masks(self._tables)
+        """The class masks of the order: ``down_same[i, f]`` and
+        ``down_cross[i, (j, f)]`` hold the classes of node i below (j, f)."""
+        return self._class_masks(self.probe_rows)
 
     @cached_property
     def down_masks_s(self):
-        return self._down_masks(self._s_tables)
+        """The class masks of the semiregularization preorder: x <=_s y iff
+        y lies in the smallest regular open set around x; delta-closure is
+        the down-closure of this preorder."""
+        return self._class_masks(self._probe._min_regular_nbhd)
 
     def _pattern_tables(self, masks):
         """``masks`` (down or up masks) indexed by pattern: per node i, the
@@ -367,10 +313,27 @@ class SkeletonSpace:
 
     @cached_property
     def up_masks(self):
-        """The down masks of the reversed order: up_same[i, e] and
-        up_cross[(j, (i, e))] hold the classes above (i, e)."""
-        return self._down_masks(
-            tuple({(y, x): v for (x, y), v in t.items()} for t in self._tables))
+        """The class masks of the reversed order, read from the down-set
+        rows: up_same[i, e] and up_cross[j, (i, e)] hold the classes above
+        (i, e)."""
+        return self._class_masks([self._probe.closure(1 << y)
+                                  for y in range(self._probe.n)])
+
+    def _up_rows(self, shifts, up_masks) -> list[int]:
+        """The up-set rows of a realization, over the points that ``shifts``
+        (from ``_shifts``) lays out, from up masks: the cross mask in every
+        copy, but the same-copy mask in the point's own."""
+        up_same, up_cross = up_masks
+        # a pattern times spread[j] is that pattern in every copy of node j
+        spread = [sum(1 << sh for sh in starts) for starts in shifts]
+        rows = []
+        for i, nd in enumerate(self.nodes):
+            across = [sum(up_cross[j, (i, e)] * s for j, s in enumerate(spread))
+                      for e in range(nd.size)]
+            for sh in shifts[i]:
+                rows += [row & ~(nd.full_pattern << sh) | up_same[i, e] << sh
+                         for e, row in enumerate(across)]
+        return rows
 
     @cached_property
     def up_tables(self):
@@ -901,10 +864,12 @@ def expand(space: SkeletonSpace) -> tuple[FiniteSpace, tuple]:
     """
     if not space.finite:
         raise SkeletonError("cannot expand a skeleton with omega nodes")
-    labels = space._points([nd.card for nd in space.nodes])
+    cards = [nd.card for nd in space.nodes]
+    labels = space._points(cards)
     if len(labels) > MAX_EXPLICIT_POINTS:
         raise SkeletonOverflow("expansion too large")
-    return FiniteSpace.from_rows(len(labels), space._up_rows(labels)), tuple(labels)
+    rows = space._up_rows(space._shifts(cards), space.up_masks)
+    return FiniteSpace.from_rows(len(labels), rows), tuple(labels)
 
 
 def abstract(space: SkeletonSpace, labels, mask: int) -> SymbolicSet:
@@ -1040,18 +1005,16 @@ def skeleton_product(s: SkeletonSpace, t: SkeletonSpace) -> SkeletonSpace:
             block = _block_product(n1.block, n2.block)
             prod_nodes.append(Node(name, card, "antichain", block))
             meta.append((i1, i2, "pairs"))
-    # relations between distinct product nodes, read off the factor tables
-    same1, cross1 = s._tables
-    same2, cross2 = t._tables
-
-    def factor_rel(same, cross, card, i, e, j, f, shared_copy_unknown):
+    # relations between distinct product nodes, read off the factor masks
+    def factor_rel(space, i, e, j, f):
+        down_same, down_cross = space.down_masks
+        cross = bool(down_cross[i, (j, f)] >> e & 1)
         if i != j:
-            return cross[(i, e), (j, f)]
-        if card == 1:
-            return same[(i, e), (j, f)]
-        if same[(i, e), (j, f)] == cross[(i, e), (j, f)]:
-            return same[(i, e), (j, f)]
-        if shared_copy_unknown:
+            return cross
+        same = bool(down_same[i, f] >> e & 1)
+        if space.nodes[i].card == 1 or same == cross:
+            return same
+        if space.nodes[i].mode == "antichain":
             raise SkeletonOverflow(
                 "product relations are not class-uniform (shared antichain factor)"
             )
@@ -1091,14 +1054,8 @@ def skeleton_product(s: SkeletonSpace, t: SkeletonSpace) -> SkeletonSpace:
             eb = elems_of(b)
             for xa, (e1, e2) in enumerate(ea):
                 for xb, (f1, f2) in enumerate(eb):
-                    r1 = factor_rel(same1, cross1, s.nodes[ia1].card, ia1, e1,
-                                    ib1, f1, ia1 == ib1 and s.nodes[ia1].mode ==
-                                    "antichain" and (s.nodes[ia1].card is OMEGA
-                                                     or s.nodes[ia1].card > 1))
-                    r2 = factor_rel(same2, cross2, t.nodes[ia2].card, ia2, e2,
-                                    ib2, f2, ia2 == ib2 and t.nodes[ia2].mode ==
-                                    "antichain" and (t.nodes[ia2].card is OMEGA
-                                                     or t.nodes[ia2].card > 1))
+                    r1 = factor_rel(s, ia1, e1, ib1, f1)
+                    r2 = factor_rel(t, ia2, e2, ib2, f2)
                     if r1 and r2:
                         rels.add(((a, xa), (b, xb)))
     return SkeletonSpace(tuple(prod_nodes), frozenset(rels))
@@ -1135,7 +1092,7 @@ def restrict(space: SkeletonSpace, a: SymbolicSet, fin_as: int = 2) -> SkeletonS
             origin.append((i, pat, elems))
     if not sub_nodes:
         raise SkeletonError("empty subspace rejected")
-    same, cross = space._tables
+    down_cross = space.down_masks[1]
     rels = set()
     for x, (i, _pi, elems_i) in enumerate(origin):
         for y, (j, _pj, elems_j) in enumerate(origin):
@@ -1143,7 +1100,7 @@ def restrict(space: SkeletonSpace, a: SymbolicSet, fin_as: int = 2) -> SkeletonS
                 continue
             for e_new, e in enumerate(elems_i):
                 for f_new, f in enumerate(elems_j):
-                    if cross[(i, e), (j, f)]:
+                    if down_cross[i, (j, f)] >> e & 1:
                         rels.add(((x, e_new), (y, f_new)))
     sub = SkeletonSpace(tuple(sub_nodes), frozenset(rels))
     # equal subspaces share one object, and so one memo, while the parent lives

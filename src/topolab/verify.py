@@ -27,6 +27,7 @@ from topolab.core import (
     bits,
     map_classify,
     mask_of,
+    numeral,
     points_of,
     up_sets,
 )
@@ -218,20 +219,22 @@ class Universe:
 
     @staticmethod
     def parse(text: str) -> "Universe":
-        parts = text.split(":")
-        if parts[0] == "catalog" and len(parts) == 1:
+        """``catalog``, ``exhaustive:<n>`` or ``sampled:<n>:<seed>:<count>``,
+        each number in ASCII digits, the seed with an optional leading -."""
+        kind, *fields = text.split(":")
+        if kind == "catalog" and not fields:
             return Universe("catalog")
-        if parts[0] == "exhaustive" and len(parts) == 2:
-            universe = Universe("exhaustive", n=int(parts[1]))
-        elif parts[0] == "sampled" and len(parts) == 4:
-            universe = Universe("sampled", n=int(parts[1]), seed=int(parts[2]),
-                                count=int(parts[3]))
-        else:
+        sign = 1
+        if kind == "sampled" and len(fields) == 3 and fields[1].startswith("-"):
+            sign, fields[1] = -1, fields[1][1:]
+        values = [numeral(f) for f in fields]
+        if None in values or (kind, len(values)) not in (("exhaustive", 1), ("sampled", 3)):
             raise ValueError(f"bad universe spec {text!r}")
+        if kind == "sampled":
+            values[1] *= sign
+        universe = Universe(kind, *values)
         if not 1 <= universe.n <= 5:
             raise ValueError(f"universe {text!r}: n must be 1..5")
-        if universe.count is not None and universe.count < 0:
-            raise ValueError(f"universe {text!r}: count must not be negative")
         return universe
 
     def label(self) -> str:

@@ -287,7 +287,7 @@ def test_check_finite_skel_explain_prints_realized_opens(capsys, tmp_path):
 
 def test_top_class_properties_of_a_finite_skel_beyond_the_expansion_cap(
         capsys, tmp_path):
-    from test_properties import _scan_simple
+    from test_properties import _finite_p_regularity, _scan_simple
     from topolab.skeleton import expand, parse_skel
 
     # 18 points: decided from class rows, never expanded
@@ -300,7 +300,8 @@ def test_top_class_properties_of_a_finite_skel_beyond_the_expansion_cap(
                 "irresolvable": "true", "strongly-irresolvable": "true",
                 "hyperconnected": "false", "extremally-disconnected": "false",
                 "preconnected": "false", "predisconnected": "true",
-                "aleph0-ed": "true"}
+                "aleph0-ed": "true", "strongly-p-regular": "false",
+                "p-regular": "false", "almost-p-regular": "false"}
     for prop, word in expected.items():
         code, out, err = run(capsys, "check", "--space", str(skel), "--prop", prop)
         assert (code, out.strip(), err) == (0, word, ""), prop
@@ -308,9 +309,11 @@ def test_top_class_properties_of_a_finite_skel_beyond_the_expansion_cap(
     fs, _labels = expand(parse_skel(text.replace("card 6", "card 4")))
     for prop in ("submaximal", "extremally-disconnected", "preconnected"):
         assert _scan_simple(fs, prop) is (expected[prop] == "true"), prop
-    # the p-regularity trio still scans every subset of the realization
+    for prop in ("strongly-p-regular", "p-regular", "almost-p-regular"):
+        assert _finite_p_regularity(fs, prop) is (expected[prop] == "true"), prop
+    # a cover property still expands the skeleton
     code, out, err = run(capsys, "check", "--space", str(skel),
-                         "--prop", "p-regular")
+                         "--prop", "p-closed")
     assert code == 3
     assert err.startswith("error:") and "expansion too large" in err
     assert out == ""
@@ -385,6 +388,29 @@ def test_bad_set_literal_exit_three(capsys, literal):
     assert code == 3
     assert err.startswith("error: bad set literal") and len(err.splitlines()) == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("spec", [
+    "exhaustive:\u0663",  # an Arabic-Indic digit three
+    "exhaustive: 2",
+    "exhaustive:+2",
+    "sampled:3:1:\u0661",
+    "sampled:3:--1:2",
+])
+def test_bad_universe_numeral_exit_three(capsys, spec):
+    code, out, err = run(capsys, "verify", "--claims", "T1", "--universe", spec)
+    assert code == 3
+    assert err.startswith("error: bad universe spec") and len(err.splitlines()) == 1
+    assert out == ""
+
+
+def test_sampled_universe_takes_a_negative_seed(capsys):
+    from topolab.verify import Universe
+
+    assert Universe.parse("sampled:3:-1:2").seed == -1
+    code, _out, err = run(capsys, "verify", "--claims", "T1",
+                          "--universe", "sampled:3:-1:2")
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("samples", ["-5", "0"])

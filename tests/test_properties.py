@@ -324,6 +324,59 @@ def test_regularity_trio_skeletons():
     assert check_simple(io, "strongly-p-regular") is True
 
 
+P_REGULARITY = {  # each property and the closed sets it separates from points
+    "strongly-p-regular": "preclosed",
+    "p-regular": "closed",
+    "almost-p-regular": "regular_closed",
+}
+
+
+def _finite_p_regularity(space, name):
+    """Reference: every set of the property's class and every point outside
+    it, separated by some preopen V holding the set with the point outside
+    pcl V; the scan the trio was decided with before the row rules."""
+    from topolab.core import bits
+
+    kind = P_REGULARITY[name]
+    po = space.preopen_masks
+    for f in range(space.full + 1):
+        if not getattr(space.classify(f), kind):
+            continue
+        for x in bits(space.full ^ f):
+            if not any(f & ~v == 0 and not space.preclosure(v) >> x & 1 for v in po):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_p_regularity_rules_match_the_scan_on_every_finite_space(n):
+    from topolab.verify import all_topologies
+
+    for sp in all_topologies(n):
+        _assert_rules_match(sp, _finite_p_regularity, P_REGULARITY, sp)
+
+
+def test_p_regularity_rules_match_the_scan_on_random_finite_skeletons():
+    """The probe rows against the scan of the whole realization; cards of 4
+    are capped at 3 by the probe."""
+    import random
+
+    from topolab.skeleton import expand, random_finite_skeleton
+
+    rng = random.Random(1)
+    seen = capped = 0
+    while seen < 100:
+        sk = random_finite_skeleton(rng, max_nodes=3, max_card=4)
+        if sum(nd.card * nd.size for nd in sk.nodes) > 9:
+            continue
+        seen += 1
+        capped += max(nd.card for nd in sk.nodes) > 3
+        fs, _labels = expand(sk)
+        _assert_rules_match(sk, lambda _sk, prop: _finite_p_regularity(fs, prop),
+                            P_REGULARITY, format_skel(sk))
+    assert capped
+
+
 # -- diagram --------------------------------------------------------------------------------
 
 

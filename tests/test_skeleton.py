@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from topolab.core import bits, build_space, sierpinski
+from topolab.core import FiniteSpace, bits, build_space, sierpinski
 from topolab.skeleton import (
     _FIN0,
     BLOCKS,
@@ -138,6 +138,167 @@ def test_parse_errors():
         parse_skel("node a card 1 mode antichain block chain1\nrel a.e0 <= b.e0\n")
     with pytest.raises(SkeletonError):
         parse_skel("")
+
+
+# -- class masks read from the probe rows, against the matrix tables -------------
+
+
+def _unchecked(nodes, rels) -> SkeletonSpace:
+    """A skeleton object built past its validation, for the reference below."""
+    sk = object.__new__(SkeletonSpace)
+    object.__setattr__(sk, "nodes", tuple(nodes))
+    object.__setattr__(sk, "rels", frozenset(rels))
+    return sk
+
+
+def _base_leq(sk, x, y) -> bool:
+    """Is point x below point y in the declared relation, before closure?"""
+    (i, c, e), (j, d, f) = x, y
+    if i == j:
+        if c == d:
+            return bool(sk.nodes[i].block[e] >> f & 1)
+        return sk.nodes[i].mode == "clique"
+    return ((i, e), (j, f)) in sk.rels
+
+
+def _reference_tables(sk):
+    """Reference: the probe relation as an n x n matrix, checked transitive
+    by a triple loop with a named witness, then read into same-copy and
+    cross-copy tables keyed by class pairs; the probe rows follow from the
+    tables.  This is how a skeleton held its relation before it read the
+    class masks from the probe rows."""
+    copies = sk.probe_copies()
+    pts = sk._points(copies)
+    idx = {p: k for k, p in enumerate(pts)}
+    n = len(pts)
+    leq = [[_base_leq(sk, x, y) for y in pts] for x in pts]
+    for a in range(n):
+        for b in range(n):
+            if a == b or not leq[a][b]:
+                continue
+            for c in range(n):
+                if leq[b][c] and not leq[a][c]:
+                    x, y, z = (sk._point_name(pts[k]) for k in (a, b, c))
+                    raise SkeletonError(f"transitivity violation: {x} <= {y} <= {z} "
+                                        f"but not {x} <= {z}")
+    same, cross = {}, {}
+    for i, ni in enumerate(sk.nodes):
+        for j, nj in enumerate(sk.nodes):
+            for e in range(ni.size):
+                for f in range(nj.size):
+                    key = (i, e), (j, f)
+                    row = leq[idx[i, 0, e]]
+                    if i == j:
+                        same[key] = row[idx[j, 0, f]]
+                        cross[key] = copies[i] > 1 and row[idx[j, 1, f]]
+                        if copies[i] > 2 and row[idx[j, 2, f]] != cross[key]:
+                            raise SkeletonError("non-uniform relation")
+                        if cross[key] and not same[key]:
+                            raise SkeletonError("non-uniform relation")
+                    else:
+                        if len({row[idx[j, d, f]] for d in range(copies[j])}) > 1:
+                            raise SkeletonError("non-uniform relation")
+                        same[key] = cross[key] = row[idx[j, 0, f]]
+    rows = tuple(sum(1 << y for y, (j, d, f) in enumerate(pts)
+                     if (same if (i, c) == (j, d) else cross)[(i, e), (j, f)])
+                 for i, c, e in pts)
+    return same, cross, rows
+
+
+def _reference_s_tables(sk):
+    """Reference: the semiregularization preorder's tables on the probe."""
+    copies = sk.probe_copies()
+    pts = sk._points(copies)
+    idx = {p: k for k, p in enumerate(pts)}
+    r = FiniteSpace.from_rows(len(pts), sk.probe_rows)._min_regular_nbhd
+    same, cross = {}, {}
+    for i, ni in enumerate(sk.nodes):
+        for j, nj in enumerate(sk.nodes):
+            for e in range(ni.size):
+                for f in range(nj.size):
+                    row = r[idx[i, 0, e]]
+                    key = (i, e), (j, f)
+                    d = 1 if i == j else 0
+                    same[key] = bool(row >> idx[j, 0, f] & 1)
+                    cross[key] = copies[j] > d and bool(row >> idx[j, d, f] & 1)
+    return same, cross
+
+
+def _reference_masks(sk, tables):
+    """Reference: per-class down masks from same-copy and cross-copy tables."""
+    same, cross = tables
+    down_same, down_cross = {}, {}
+    for i, ni in enumerate(sk.nodes):
+        for j, nj in enumerate(sk.nodes):
+            for f in range(nj.size):
+                if i == j:
+                    down_same[i, f] = sum(1 << e for e in range(ni.size)
+                                          if same[(i, e), (i, f)])
+                down_cross[i, (j, f)] = sum(1 << e for e in range(ni.size)
+                                            if cross[(i, e), (j, f)])
+    return down_same, down_cross
+
+
+def _mask_corpus():
+    import random
+
+    rng = random.Random(2)
+    return ([catalog(n).space for n in catalog_names()
+             if isinstance(catalog(n).space, SkeletonSpace)]
+            + [sk for seed in (3, 5, 11, 17) for sk in omega_skeletons(seed=seed, count=30)]
+            + [random_finite_skeleton(rng, max_nodes=3, max_card=4) for _ in range(60)])
+
+
+def test_class_masks_match_the_matrix_tables():
+    corpus = _mask_corpus()
+    for sk in corpus:
+        same, cross, rows = _reference_tables(sk)
+        reversed_tables = tuple({(y, x): v for (x, y), v in t.items()} for t in (same, cross))
+        assert sk.probe_rows == rows, format_skel(sk)
+        assert sk.down_masks == _reference_masks(sk, (same, cross)), format_skel(sk)
+        assert sk.down_masks_s == _reference_masks(sk, _reference_s_tables(sk)), format_skel(sk)
+        assert sk.up_masks == _reference_masks(sk, reversed_tables), format_skel(sk)
+    assert len(corpus) == 186
+
+
+def _random_relation(rng):
+    """Nodes and relations drawn with no closure, most of them not a preorder."""
+    nodes = tuple(Node(f"n{i}", rng.choice([1, 2, 3, 4, None]),
+                       rng.choice(["antichain", "clique"]), BLOCKS[rng.choice(list(BLOCKS))])
+                  for i in range(rng.randint(1, 3)))
+    rels = {((i, e), (j, f))
+            for i, ni in enumerate(nodes) for j, nj in enumerate(nodes) if i != j
+            for e in range(ni.size) for f in range(nj.size) if rng.random() < 0.3}
+    return nodes, frozenset(rels)
+
+
+def _verdict(build):
+    try:
+        build()
+    except SkeletonError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def test_row_transitivity_check_matches_the_triple_loop():
+    import random
+
+    rng = random.Random(7)
+    outcomes = Counter()
+    for _ in range(300):
+        nodes, rels = _random_relation(rng)
+        want = _verdict(lambda: _reference_tables(_unchecked(nodes, rels)))
+        assert _verdict(lambda: SkeletonSpace(nodes, rels)) == want, (nodes, rels)
+        outcomes[want == "accepted"] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 100
+
+
+def test_cross_copy_transitivity_violation_names_the_first_triple():
+    nodes = (Node("a", 2, "clique", BLOCKS["antichain2"]),)
+    want = ("transitivity violation: a.0.e0 <= a.1.e0 <= a.0.e1 "
+            "but not a.0.e0 <= a.0.e1")
+    assert _verdict(lambda: _reference_tables(_unchecked(nodes, ()))) == want
+    assert _verdict(lambda: SkeletonSpace(nodes, frozenset())) == want
 
 
 # -- expansion ------------------------------------------------------------------

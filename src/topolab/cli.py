@@ -14,6 +14,7 @@ import os
 import sys
 
 from topolab.core import (
+    OPERATORS,
     FiniteSpace,
     TopologyError,
     mask_of,
@@ -27,6 +28,7 @@ from topolab.properties import (
     check_cover,
     check_cover_relative,
     check_simple,
+    flagged,
 )
 from topolab.skeleton import (
     SkeletonError,
@@ -36,11 +38,12 @@ from topolab.skeleton import (
     catalog_names,
     parse_skel,
     realized_opens_description,
-    sym_operator,
 )
 from topolab.verify import (
     CLAIMS,
+    HUNT_TARGETS,
     Universe,
+    _trivial,
     all_topologies,
     run_claim,
     search_counterexample,
@@ -48,20 +51,7 @@ from topolab.verify import (
     topologies_by_preorder,
 )
 
-OPS = ("int", "cl", "consolidation", "pcl", "pint", "scl", "delta-cl",
-       "delta-pcl", "pcl-theta")
-
-_CORE_OPS = {
-    "int": "interior",
-    "cl": "closure",
-    "consolidation": "consolidation",
-    "pcl": "preclosure",
-    "pint": "preinterior",
-    "scl": "semi_closure",
-    "delta-cl": "delta_closure",
-    "delta-pcl": "delta_preclosure",
-    "pcl-theta": "pre_theta_closure",
-}
+OPS = tuple(OPERATORS)
 
 
 class CliError(Exception):
@@ -90,9 +80,7 @@ def _load_space(path: str):
         raise CliError(f"{path}: {err}") from err
 
 
-def _parse_set(space, text: str) -> int:
-    if not isinstance(space, FiniteSpace):
-        raise CliError("--set is for finite spaces; use --symbolic-set")
+def _parse_set(space: FiniteSpace, text: str) -> int:
     if text in ("", "-"):
         return 0
     pts = [numeral(t) for t in text.split(",")]
@@ -105,9 +93,7 @@ def _parse_set(space, text: str) -> int:
         raise CliError(f"bad set literal {text!r}: {err}") from err
 
 
-def _parse_symbolic_set(space, path: str) -> SymbolicSet:
-    if not isinstance(space, SkeletonSpace):
-        raise CliError("--symbolic-set is for skeletons; use --set")
+def _parse_symbolic_set(space: SkeletonSpace, path: str) -> SymbolicSet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -118,6 +104,16 @@ def _parse_symbolic_set(space, path: str) -> SymbolicSet:
         return SymbolicSet.from_json(space, data)
     except SkeletonError as err:
         raise CliError(f"bad symbolic set {path}: {err}") from err
+
+
+def _subset(space, args):
+    """The set the command names: ``--set`` (empty when absent) on a finite
+    space, ``--symbolic-set`` on a skeleton."""
+    if isinstance(space, FiniteSpace):
+        return _parse_set(space, args.set if args.set is not None else "")
+    if args.symbolic_set is None:
+        raise CliError("skeleton spaces need --symbolic-set")
+    return _parse_symbolic_set(space, args.symbolic_set)
 
 
 def _fmt_mask(mask: int) -> str:
@@ -137,32 +133,16 @@ def _normalize_prop(name: str) -> str:
 
 def _cmd_ops(args) -> int:
     space = _load_space(args.space)
-    ops = args.op or list(OPS)
-    for op in ops:
-        if op not in OPS:
-            raise CliError(f"unknown operator {op!r}")
-    if isinstance(space, FiniteSpace):
-        a = _parse_set(space, args.set if args.set is not None else "")
-        for op in ops:
-            print(f"{op}: {_fmt_mask(getattr(space, _CORE_OPS[op])(a))}")
-    else:
-        if args.symbolic_set is None:
-            raise CliError("skeleton spaces need --symbolic-set")
-        s = _parse_symbolic_set(space, args.symbolic_set)
-        for op in ops:
-            print(f"{op}: {sym_operator(space, op, s)}")
+    a = _subset(space, args)
+    for op in args.op or OPS:  # argparse keeps --op to OPS
+        out = space.operator(op, a)
+        print(f"{op}: {_fmt_mask(out) if isinstance(space, FiniteSpace) else out}")
     return 0
 
 
 def _cmd_classify(args) -> int:
     space = _load_space(args.space)
-    if isinstance(space, FiniteSpace):
-        a = _parse_set(space, args.set if args.set is not None else "")
-        flags = space.classify(a)
-    else:
-        if args.symbolic_set is None:
-            raise CliError("skeleton spaces need --symbolic-set")
-        flags = space.classify(_parse_symbolic_set(space, args.symbolic_set))
+    flags = space.classify(_subset(space, args))
     for name, value in flags.as_dict().items():
         print(f"{name}: {str(value).lower()}")
     return 0
@@ -198,13 +178,7 @@ def _cmd_relative(args) -> int:
     prop = _normalize_prop(args.prop)
     if prop not in COVER_PROPERTIES:
         raise CliError(f"{prop!r} is not a cover property")
-    if isinstance(space, FiniteSpace):
-        subset = _parse_set(space, args.set if args.set is not None else "")
-    else:
-        if args.symbolic_set is None:
-            raise CliError("skeleton spaces need --symbolic-set")
-        subset = _parse_symbolic_set(space, args.symbolic_set)
-    verdict = check_cover_relative(space, subset, prop)
+    verdict = check_cover_relative(space, _subset(space, args), prop)
     print(_verdict_word(verdict.outcome))
     if args.explain and verdict.certificate:
         print(f"certificate: {json.dumps(verdict.certificate, sort_keys=True)}")
@@ -292,7 +266,7 @@ def _cmd_hunt(args) -> int:
                 raise CliError(f"{name!r} is not a cover property")
         res = search_counterexample((p, q), universe)
     elif args.target:
-        if args.target not in ("tn1-converse", "c45-converse"):
+        if args.target not in HUNT_TARGETS:
             raise CliError(f"unknown hunt target {args.target!r}")
         res = search_counterexample(args.target, universe)
     else:
@@ -356,19 +330,11 @@ def _catalog_value(space, key: str):
     if key in COVER_PROPERTIES:
         return check_cover(space, key).outcome
     if key == "all-proper-preregular-relatively-p-closed":
-        from topolab.properties import classified_templates
-
-        if isinstance(space, FiniteSpace):
-            return all(
-                check_cover_relative(space, a, "p-closed").outcome is True
-                for a in range(space.full + 1)
-                if 0 < a < space.full and space.classify(a).preregular
-            )
         out = True
-        for t, flags in classified_templates(space):
-            if not flags.preregular or t.is_empty() or t.is_full():
+        for a in flagged(space, "preregular"):
+            if _trivial(space, a):
                 continue
-            v = check_cover_relative(space, t, "p-closed").outcome
+            v = check_cover_relative(space, a, "p-closed").outcome
             if v is None:
                 return None
             if v is False:

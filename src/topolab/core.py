@@ -139,6 +139,22 @@ class ClassFlags:
         return {name: getattr(self, name) for name in CLASS_FLAG_NAMES}
 
 
+# the set operators by name, in the order ``topolab ops`` prints them: the
+# ``FiniteSpace`` method of each; ``skeleton.sym_operator`` answers the same
+# names on skeletons
+OPERATORS = {
+    "int": "interior",
+    "cl": "closure",
+    "consolidation": "consolidation",
+    "pcl": "preclosure",
+    "pint": "preinterior",
+    "scl": "semi_closure",
+    "delta-cl": "delta_closure",
+    "delta-pcl": "delta_preclosure",
+    "pcl-theta": "pre_theta_closure",
+}
+
+
 @dataclass(frozen=True, init=False)
 class FiniteSpace:
     """A topology on the carrier {0, .., n-1}, stored as its preorder:
@@ -295,19 +311,22 @@ class FiniteSpace:
         return a & ~self.interior(self.delta_closure(a)) == 0
 
     def delta_preclosure(self, a: int) -> int:
-        """Intersection of all delta-preclosed supersets of ``a``."""
+        """The smallest delta-preclosed superset of ``a``: the complement of
+        the largest delta-preopen subset P of the complement S.
+
+        Delta-preopen sets are closed under unions, so P exists, and the
+        decreasing fixpoint P <- S & int(cl_delta(P)) from P = S reaches it:
+        every iterate contains P, as cl_delta and int are monotone, and the
+        fixpoint lies in int(cl_delta) of itself, so it is delta-preopen.
+        ``Config.op_pint`` runs the same fixpoint on skeletons."""
         self.check_fits(a)
-        out = self.full
         rest = self.full ^ a
-        sub = rest
+        cur = rest
         while True:
-            m = a | sub
-            if self.is_delta_preopen(self.full ^ m):
-                out &= m
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        return out
+            nxt = rest & self.interior(self.delta_closure(cur))
+            if nxt == cur:
+                return self.full ^ cur
+            cur = nxt
 
     # -- preopen families and pre-theta operators -------------------------
 
@@ -360,6 +379,12 @@ class FiniteSpace:
         tops = self.tops
         return a | self.closure(tops.top & self.interior(a)
                                 | tops.single & self.up(a))
+
+    def operator(self, name: str, a: int) -> int:
+        """The operator ``name`` of ``OPERATORS`` applied to ``a``."""
+        if name not in OPERATORS:
+            raise TopologyError(f"unknown operator {name!r}")
+        return getattr(self, OPERATORS[name])(a)
 
     # -- the memo ------------------------------------------------------------
 

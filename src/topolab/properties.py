@@ -12,6 +12,11 @@ pivot search (a class whose every admissible template saturates to the
 whole carrier) proving success.  Neither search is complete; Unknown is a
 legal outcome away from the catalog.
 
+A saturation is ``"id"`` or an operator name of ``core.OPERATORS``, which
+both kinds of space answer through ``space.operator`` (``_saturate``).  A
+cover class is a class flag, and ``flagged`` gives the sets of a space that
+carry one: masks of a finite space, templates of a skeleton.
+
 Every simple property is decided from top classes, but for the
 p-regularity trio on skeletons with omega nodes, which searches templates
 for separating preopen sets.  A finite space passes its up-set rows, a
@@ -42,7 +47,6 @@ from topolab.skeleton import (
     finite_probe,
     full_set,
     probe_set,
-    sym_operator,
 )
 
 
@@ -117,29 +121,31 @@ class Verdict:
         }
 
 
-def _finite_saturate(space: FiniteSpace, sat: str, a: int) -> int:
-    if sat == "id":
-        return a
-    if sat == "cl":
-        return space.closure(a)
-    if sat == "pcl":
-        return space.preclosure(a)
-    if sat == "scl":
-        return space.semi_closure(a)
-    if sat == "delta-pcl":
-        return space.delta_preclosure(a)
-    raise ValueError(f"unknown saturation {sat!r}")
+def _saturate(space, sat: str, a):
+    """``a`` saturated by ``sat``: itself for ``"id"``, else the operator of
+    that name (memoized on a skeleton, not on a finite space)."""
+    return a if sat == "id" else space.operator(sat, a)
+
+
+def flagged(space, flag: str) -> tuple:
+    """The sets of a space with a class flag (a ``ClassFlags`` field),
+    memoized: masks in increasing order on a finite space, templates in
+    ``all_symbolic_sets`` order on a skeleton."""
+    def scan():
+        if isinstance(space, FiniteSpace):
+            classified = ((a, space.classify(a)) for a in range(space.full + 1))
+        else:
+            classified = classified_templates(space)
+        return tuple(s for s, flags in classified if getattr(flags, flag))
+
+    return space.recall(("flagged", flag), scan)
 
 
 def _finite_family(space: FiniteSpace, cp: CoverProperty) -> tuple:
-    """(member, saturation) for every admissible cover member, by mask.
-    The members are kept per cover class too, which several saturations
-    share."""
-    flag = _CLASS_FLAG[cp.cover_class]
-    members = space.recall(("members", cp.cover_class), lambda: tuple(
-        a for a in range(space.full + 1) if getattr(space.classify(a), flag)))
+    """(member, saturation) for every admissible cover member, by mask."""
     return space.recall(("family", cp.cover_class, cp.saturation), lambda: tuple(
-        (a, _finite_saturate(space, cp.saturation, a)) for a in members))
+        (a, _saturate(space, cp.saturation, a))
+        for a in flagged(space, _CLASS_FLAG[cp.cover_class])))
 
 
 def _finite_certificate(space: FiniteSpace, cp: CoverProperty,
@@ -178,12 +184,6 @@ def classified_templates(space: SkeletonSpace):
         (t, space.classify(t)) for t in all_symbolic_sets(space)))
 
 
-def _sym_saturate(space: SkeletonSpace, sat: str, t: SymbolicSet) -> SymbolicSet:
-    if sat == "id":
-        return t
-    return space.recall((sat, t.counts), lambda: sym_operator(space, sat, t))
-
-
 def _element_classes(space: SkeletonSpace):
     for i, nd in enumerate(space.nodes):
         for e in range(nd.size):
@@ -194,10 +194,7 @@ def _covering_templates(space, cp, i, e):
     """Templates admissible as the per-point cover member of class (i, e):
     in the cover class, containing the class with a shrinkable (non-INF)
     pattern count."""
-    flag = _CLASS_FLAG[cp.cover_class]
-    for t, flags in classified_templates(space):
-        if not getattr(flags, flag):
-            continue
+    for t in flagged(space, _CLASS_FLAG[cp.cover_class]):
         for pat, card in t.counts[i]:
             if pat >> e & 1 and card != 0 and card != INF:
                 yield t
@@ -214,7 +211,7 @@ def _escape_search(space: SkeletonSpace, cp: CoverProperty, classes, pis):
             found = None
             for t in _covering_templates(space, cp, i, e):
                 try:
-                    sat = _sym_saturate(space, cp.saturation, t)
+                    sat = _saturate(space, cp.saturation, t)
                 except (SymbolicIncomplete, SymbolicAmbiguity):
                     continue
                 if sat.trace_card(*pi) != INF:
@@ -244,11 +241,11 @@ def _pivot_search(space: SkeletonSpace, cp: CoverProperty, classes):
     flag = _CLASS_FLAG[cp.cover_class]
     for (i, e) in classes:
         ok = True
-        for t, flags in classified_templates(space):
-            if not getattr(flags, flag) or not t.touches(i, e):
+        for t in flagged(space, flag):
+            if not t.touches(i, e):
                 continue
             try:
-                sat = _sym_saturate(space, cp.saturation, t)
+                sat = _saturate(space, cp.saturation, t)
             except (SymbolicIncomplete, SymbolicAmbiguity):
                 ok = False
                 break
@@ -369,12 +366,12 @@ def smoke_test_witness(space: SkeletonSpace, cp: CoverProperty, witness: dict,
     for _ in range(subfamily):
         best, gain = None, -1
         for v in cover:
-            g = bin(_finite_saturate(fs, cp.saturation, v) & target & ~covered).count("1")
+            g = bin(_saturate(fs, cp.saturation, v) & target & ~covered).count("1")
             if g > gain:
                 best, gain = v, g
         if best is None:
             break
-        covered |= _finite_saturate(fs, cp.saturation, best)
+        covered |= _saturate(fs, cp.saturation, best)
     return bool(target & ~covered)
 
 
@@ -530,10 +527,7 @@ def _exists_separating_preopen(space, f_set, node, group_pat, elem) -> bool:
 
 
 def _skel_p_regularity(space: SkeletonSpace, kind: str) -> bool:
-    flag = _SEPARATED_CLASS[kind]
-    for f_set, flags in classified_templates(space):
-        if not getattr(flags, flag):
-            continue
+    for f_set in flagged(space, _SEPARATED_CLASS[kind]):
         for i, nd in enumerate(space.nodes):
             for pat, card in f_set.counts[i]:
                 if card == 0:

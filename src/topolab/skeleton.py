@@ -251,8 +251,16 @@ class SkeletonSpace:
         element f, ``same[i, f]`` holds the elements e of i with (i, e)
         related to (i, f) in one copy; per node pair, ``cross[i, (j, f)]``
         holds those related to (j, f) in another copy (any copy when
-        j != i, none when node i has one copy).  Read from copy 0 of each
-        node; a relation that another copy breaks is rejected."""
+        j != i, none when node i has one copy).
+
+        Read from copy 0 of each node, and from its first other copy for
+        the cross masks.  The order, the delta-order and the reversed order
+        are all copy-uniform: permuting a node's copies is an automorphism
+        of the probe, so the relations read from it are copy-symmetric;
+        transitivity puts a clique's cross-copy mask inside its same-copy
+        mask, and the copies of an antichain node meet only through other
+        nodes, which relate to all of its copies alike.  The skeleton tests
+        check this uniformity for all three relations."""
         shifts = self._shifts(self.probe_copies())
         same = {(i, f): 0 for i, nd in enumerate(self.nodes) for f in range(nd.size)}
         cross = {(i, jf): 0 for i in range(len(self.nodes)) for jf in same}
@@ -260,18 +268,14 @@ class SkeletonSpace:
             for e in range(ni.size):
                 row, bit = rows[shifts[i][0] + e], 1 << e
                 for j, nj in enumerate(self.nodes):
-                    full = nj.full_pattern
-                    segs = [row >> sh & full for sh in shifts[j]]
+                    starts = shifts[j]
                     if i == j:
-                        own = segs.pop(0)
-                        for f in bits(own):
+                        for f in bits(row >> starts[0] & nj.full_pattern):
                             same[i, f] |= bit
-                    if not segs:
-                        continue
-                    if len(set(segs)) > 1 or i == j and segs[0] & ~own:
-                        raise SkeletonError("non-uniform relation")
-                    for f in bits(segs[0]):
-                        cross[i, (j, f)] |= bit
+                        starts = starts[1:]
+                    if starts:
+                        for f in bits(row >> starts[0] & nj.full_pattern):
+                            cross[i, (j, f)] |= bit
         return same, cross
 
     @cached_property
@@ -372,9 +376,9 @@ class SkeletonSpace:
     def recall(self, key, compute):
         """``compute()``, memoized under ``key``.  A SymbolicIncomplete or
         SymbolicAmbiguity is memoized too and raised again on each lookup,
-        so an Unknown never turns definite.  The operators of
-        ``sym_operator``, the pre-theta closure included, raise neither on a
-        public set: it has no indeterminate (``_FIN0``) group."""
+        so an Unknown never turns definite.  The operators of ``operator``,
+        the pre-theta closure included, raise neither on a public set: it
+        has no indeterminate (``_FIN0``) group."""
         memo = self.memo
         if key not in memo:
             try:
@@ -389,6 +393,13 @@ class SkeletonSpace:
     def classify(self, t: "SymbolicSet") -> ClassFlags:
         """The class flags of a template (``sym_classify``), memoized."""
         return self.recall(("flags", t.counts), lambda: sym_classify(self, t))
+
+    def operator(self, name: str, t: "SymbolicSet") -> "SymbolicSet":
+        """The operator ``name`` of ``core.OPERATORS`` applied to a template
+        (``sym_operator``), memoized under ``(name, t.counts)``: the
+        saturations of the cover deciders and the pre-theta closures of
+        classification share it."""
+        return self.recall((name, t.counts), lambda: sym_operator(self, name, t))
 
     def __str__(self):
         parts = []
@@ -775,13 +786,6 @@ def sym_pre_theta_closure(space, a: SymbolicSet) -> SymbolicSet:
     return cfg.to_set(cfg.op_pcl_theta(0))
 
 
-def _recall_pre_theta_closure(space, a: SymbolicSet) -> SymbolicSet:
-    """The pre-theta closure of ``a``, in the space memo under the key the
-    saturations use (``properties._sym_saturate``), so that classifying a
-    template and its complement computes each closure once."""
-    return space.recall(("pcl-theta", a.counts), lambda: sym_pre_theta_closure(space, a))
-
-
 _OPS = {
     "int": Config.op_int,
     "cl": Config.op_cl,
@@ -790,13 +794,13 @@ _OPS = {
     "consolidation": Config.op_consolidation,
     "delta-cl": Config.op_cl_delta,
     "pint": Config.op_pint,
-    "delta-pint": lambda cfg, s: cfg.op_pint(s, delta=True),
     "delta-pcl": lambda cfg, s: cfg.op_not(cfg.op_pint(cfg.op_not(s), delta=True)),
 }
 
 
 def sym_operator(space: SkeletonSpace, op: str, a: SymbolicSet) -> SymbolicSet:
-    """Exact symbolic operator on a symbolic set."""
+    """Exact symbolic operator on a symbolic set: each name of
+    ``core.OPERATORS``."""
     if op == "pcl-theta":
         return sym_pre_theta_closure(space, a)
     if op not in _OPS:
@@ -827,9 +831,9 @@ def sym_classify(space: SkeletonSpace, a: SymbolicSet) -> ClassFlags:
     locally_closed = cfg.slot_equal(cfg.op_cl(s_rim), s_rim)
     delta_preopen = cfg.slot_subset(s_a, s_intcld)
     delta_preclosed = cfg.slot_subset(comp, cfg.op_int(s_cld_c))
-    pth = _recall_pre_theta_closure(space, a)
+    pth = space.operator("pcl-theta", a)
     comp_set = cfg.to_set(comp)
-    pth_c = _recall_pre_theta_closure(space, comp_set)
+    pth_c = space.operator("pcl-theta", comp_set)
     return ClassFlags(
         open=cfg.slot_equal(s_a, s_int),
         closed=cfg.slot_equal(s_a, s_cl),

@@ -34,12 +34,12 @@ from topolab.core import (
 from topolab.properties import (
     COVER_PROPERTIES,
     SIMPLE_PROPERTIES,
-    _sym_saturate,
     check_cover,
     check_cover_relative,
     check_simple,
     classified_templates,
     diagram_edges,
+    flagged,
 )
 from topolab.skeleton import (
     SkeletonError,
@@ -386,14 +386,6 @@ def _bool3_and(*vals):
     return True
 
 
-def _flagged(space, flag: str):
-    """The sets of a space with a class flag: masks of a finite space,
-    templates of a skeleton."""
-    if isinstance(space, FiniteSpace):
-        return (a for a in range(space.full + 1) if getattr(space.classify(a), flag))
-    return (t for t, flags in classified_templates(space) if getattr(flags, flag))
-
-
 def _complement(space, a):
     if isinstance(space, FiniteSpace):
         return space.full ^ a
@@ -468,10 +460,10 @@ def _sets(flag=None, nonempty=False):
     def gen(space, ctx):
         if isinstance(space, FiniteSpace):
             sets = _subsets(space, ctx)
+        elif flag is None:
+            sets = (t for t, _flags in classified_templates(space))
         else:
-            sets = (t for t, flags in classified_templates(space)
-                    if (flag is None or getattr(flags, flag))
-                    and not (nonempty and t.is_empty()))
+            sets = (t for t in flagged(space, flag) if not (nonempty and t.is_empty()))
         for s in sets:
             yield {"sets": [s]}
 
@@ -664,29 +656,17 @@ def _t43():
 def _p41():
     def pred(space, inst):
         a = inst["sets"][0]
-        if isinstance(space, FiniteSpace):
-            flags = space.classify(a)
-            if flags.preopen:
-                if space.pre_theta_closure(a) != space.preclosure(a):
-                    return False
-            if flags.preregular and not flags.pre_theta_closed:
-                return False
-            if flags.semi_open:
-                if space.preclosure(a) != space.closure(a):
-                    return False
-            return True
         try:
             flags = space.classify(a)
             if flags.preopen:
-                if _sym_saturate(space, "pcl-theta", a) != _sym_saturate(
-                        space, "pcl", a):
+                if space.operator("pcl-theta", a) != space.operator("pcl", a):
                     return False
             if flags.preregular and not flags.pre_theta_closed:
                 return False
         except SymbolicIncomplete:
             return None
         if flags.semi_open:
-            if _sym_saturate(space, "pcl", a) != _sym_saturate(space, "cl", a):
+            if space.operator("pcl", a) != space.operator("cl", a):
                 return False
         return True
 
@@ -772,7 +752,7 @@ def _t5():
     def pred(space, inst):
         if not check_simple(space, "hyperdisconnected"):
             return True
-        for a in _flagged(space, "semi_regular"):
+        for a in flagged(space, "semi_regular"):
             if _trivial(space, a):
                 continue
             sub_pc = subspace_p_closed(space, a)
@@ -789,7 +769,7 @@ def _t5():
               "forces p-closedness", ("finite", "skeleton"))
 def _t6():
     def pred(space, inst):
-        for a in _flagged(space, "semi_regular"):
+        for a in flagged(space, "semi_regular"):
             if _trivial(space, a):
                 continue
             pc1 = subspace_p_closed(space, a)
@@ -841,10 +821,9 @@ def _tn2():
             yield from _pairs(space, ctx)
             return
         temps = classified_templates(space)
-        for t1, f1 in temps:
-            if f1.pre_theta_closed:
-                for t2, _f2 in temps:
-                    yield {"sets": [t1, t2]}
+        for t1 in flagged(space, "pre_theta_closed"):
+            for t2, _f2 in temps:
+                yield {"sets": [t1, t2]}
 
     def pred(space, inst):
         a, b = inst["sets"]
@@ -900,7 +879,7 @@ def _tn3():
         if pc is None:
             return None
         rhs = True
-        for a in _flagged(space, "preregular"):
+        for a in flagged(space, "preregular"):
             v = _relative_p_closed(space, a)
             if v is None:
                 return None
@@ -917,7 +896,7 @@ def _tn3():
         ("finite", "skeleton"))
 def _tn4():
     def pred(space, inst):
-        for a in _flagged(space, "preregular"):
+        for a in flagged(space, "preregular"):
             if _trivial(space, a):
                 continue
             v1 = _relative_p_closed(space, a)
@@ -1039,7 +1018,7 @@ def _remark():
             return
         yield {"fact": "factors-p-closed"}
         yield {"fact": "product-not-p-closed"}
-        for t in _flagged(space, "preregular"):
+        for t in flagged(space, "preregular"):
             if not _trivial(space, t):
                 yield {"fact": "preregular-relative", "sets": [t]}
 
@@ -1312,16 +1291,19 @@ def search_counterexample(target, universe: Universe) -> dict:
     """Find a universe member refuting a reversed edge or a posed question.
 
     ``target`` is either a pair of cover properties (p, q), read as the
-    reversed arrow q-without-p, or one of the named question targets.
+    reversed arrow q-without-p, or one of the named question targets:
+    ``tn1-converse`` is the reversed arrow of TN1 (pre-theta-compact
+    without p-closed).
     """
     checked = 0
     skipped = 0
     witness = None
     details = None
+    pair = ("p-closed", "pre-theta-compact") if target == "tn1-converse" else target
     for label, space in universe.spaces():
         checked += 1
-        if isinstance(target, tuple):
-            p, q = target
+        if isinstance(pair, tuple):
+            p, q = pair
             vq = check_cover(space, q).outcome
             vp = check_cover(space, p).outcome
             if vq is None or vp is None:
@@ -1329,16 +1311,6 @@ def search_counterexample(target, universe: Universe) -> dict:
                 continue
             if vq is True and vp is False:
                 witness, details = label, {q: True, p: False}
-                break
-        elif target == "tn1-converse":
-            vtc = check_cover(space, "pre-theta-compact").outcome
-            vpc = check_cover(space, "p-closed").outcome
-            if vtc is None or vpc is None:
-                skipped += 1
-                continue
-            if vtc is True and vpc is False:
-                witness, details = label, {"pre-theta-compact": True,
-                                           "p-closed": False}
                 break
         elif target == "c45-converse":
             if isinstance(space, FiniteSpace):
@@ -1349,8 +1321,8 @@ def search_counterexample(target, universe: Universe) -> dict:
                     skipped += 1
                 continue
             all_rel = True
-            for t, flags in classified_templates(space):
-                if not flags.pre_theta_closed or t.is_full():
+            for t in flagged(space, "pre_theta_closed"):
+                if t.is_full():
                     continue
                 v = check_cover_relative(space, t, "p-closed").outcome
                 if v is None:

@@ -22,6 +22,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_ops_offers_the_core_operators_in_their_order():
+    from topolab import cli, core
+
+    assert cli.OPS == tuple(core.OPERATORS)
+
+
 def test_check_strongly_irresolvable(capsys, sierpinski_file):
     code, out, _ = run(capsys, "check", "--space", sierpinski_file,
                        "--prop", "strongly-irresolvable")

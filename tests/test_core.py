@@ -265,6 +265,44 @@ def test_delta_preclosure_below_preclosure():
                 assert sp.delta_preclosure(a) & ~sp.preclosure(a) == 0
 
 
+def _delta_preclosure_by_scan(sp, a):
+    """Reference: the intersection of every delta-preclosed superset of
+    ``a``, scanned over all supersets."""
+    out, rest = sp.full, sp.full ^ a
+    sub = rest
+    while True:
+        m = a | sub
+        if sp.is_delta_preopen(sp.full ^ m):
+            out &= m
+        if sub == 0:
+            return out
+        sub = (sub - 1) & rest
+
+
+def test_delta_preclosure_fixpoint_matches_the_superset_scan():
+    pairs = 0
+    for n in (1, 2, 3, 4):
+        for sp in all_spaces(n):
+            for a in range(sp.full + 1):
+                assert sp.delta_preclosure(a) == _delta_preclosure_by_scan(sp, a), (sp, a)
+                pairs += 1
+    assert pairs == 1 * 2 + 4 * 4 + 29 * 8 + 355 * 16
+    with pytest.raises(TopologyError):
+        all_spaces(2)[0].delta_preclosure(0b100)
+
+
+def test_operator_by_name_is_the_named_method():
+    assert tuple(core.OPERATORS) == ("int", "cl", "consolidation", "pcl", "pint",
+                                     "scl", "delta-cl", "delta-pcl", "pcl-theta")
+    for n in (1, 2, 3):
+        for sp in all_spaces(n):
+            for name, method in core.OPERATORS.items():
+                for a in range(sp.full + 1):
+                    assert sp.operator(name, a) == getattr(sp, method)(a), (sp, name, a)
+    with pytest.raises(TopologyError, match="unknown operator"):
+        all_spaces(1)[0].operator("delta-pint", 0)
+
+
 # -- pre-theta closure -------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from topolab.properties import (
     check_simple,
     classified_templates,
     diagram_edges,
+    flagged,
     smoke_test_witness,
 )
 from topolab.skeleton import (
@@ -75,7 +76,7 @@ def test_finite_relative_always_true(s2):
 def _greedy_certificate(sp, cp, target):
     """Reference: the greedy saturated subcover the finite certificate was
     first built with, over the cover class scanned from all subsets."""
-    from topolab.properties import _CLASS_FLAG, _finite_saturate
+    from topolab.properties import _CLASS_FLAG, _saturate
 
     flag = _CLASS_FLAG[cp.cover_class]
     family = [a for a in range(sp.full + 1) if getattr(sp.classify(a), flag)]
@@ -83,13 +84,13 @@ def _greedy_certificate(sp, cp, target):
     while covered & target != target:
         best, best_gain = None, -1
         for v in family:
-            gain = bin(_finite_saturate(sp, cp.saturation, v)
+            gain = bin(_saturate(sp, cp.saturation, v)
                        & target & ~covered).count("1")
             if gain > best_gain:
                 best, best_gain = v, gain
         assert best_gain > 0
         chosen.append(best)
-        covered |= _finite_saturate(sp, cp.saturation, best)
+        covered |= _saturate(sp, cp.saturation, best)
     return {
         "kind": "finite",
         "family_size": len(family),
@@ -445,28 +446,49 @@ def test_memoized_relative_verdicts_match_cold_ones(name):
             assert memoized.to_json() == fresh.to_json(), (prop, str(t))
 
 
+def test_flagged_sets_are_the_scan_memoized():
+    from dataclasses import fields
+
+    from topolab.core import ClassFlags, FiniteSpace
+
+    spaces = ([sp for n in (1, 2, 3) for sp in all_spaces(n)]
+              + [parse_skel(format_skel(catalog(name).space)) for name in CATALOG_SKELETONS])
+    for sp in spaces:
+        if isinstance(sp, FiniteSpace):
+            classified = [(a, sp.classify(a)) for a in range(sp.full + 1)]
+        else:
+            classified = classified_templates(sp)
+        for field in fields(ClassFlags):
+            got = flagged(sp, field.name)
+            assert got == tuple(s for s, flags in classified if getattr(flags, field.name))
+            assert flagged(sp, field.name) is got
+
+
 def test_raised_saturation_is_memoized_as_unknown(monkeypatch):
-    import topolab.properties as P
+    import topolab.skeleton as S
     from topolab.skeleton import SymbolicIncomplete
 
     space = parse_skel(format_skel(catalog("excluded-point-omega").space))
     t_class = SymbolicSet.from_names(space, {"t": {(0,): INF}})
     calls = []
+    real_operator = S.sym_operator
 
     def incomplete(sp, op, t):
+        if op == "pcl-theta":  # classification's closures: not a saturation
+            return real_operator(sp, op, t)
         calls.append((op, t.counts))
         raise SymbolicIncomplete("pre-theta search budget exceeded")
 
-    monkeypatch.setattr(P, "sym_operator", incomplete)
+    monkeypatch.setattr(S, "sym_operator", incomplete)
     first = check_cover_relative(space, t_class, "p-closed")
     assert first.outcome is None
     assert calls and len(calls) == len(set(calls))
     with pytest.raises(SymbolicIncomplete):
-        P._sym_saturate(space, "pcl", t_class)
+        space.operator("pcl", t_class)
     monkeypatch.undo()
     # the stored failure is raised again, never replaced by a definite verdict
     with pytest.raises(SymbolicIncomplete):
-        P._sym_saturate(space, "pcl", t_class)
+        space.operator("pcl", t_class)
     second = check_cover_relative(space, t_class, "p-closed")
     assert second.to_json() == first.to_json()
     fresh = parse_skel(format_skel(space))
@@ -478,7 +500,6 @@ def _saturations_per_key(monkeypatch, cid):
     """Run ``cid`` on the catalog from cold memos and count how often each
     (space, op, template) is saturated.  A pre-theta closure is counted
     where it is computed, whether a saturation or a classification asks."""
-    import topolab.properties as P
     import topolab.skeleton as S
     from topolab.verify import CATALOG_UNIVERSE, Universe, run_claim
 
@@ -487,7 +508,7 @@ def _saturations_per_key(monkeypatch, cid):
         if isinstance(space, SkeletonSpace):
             space.memo.clear()
     evaluated = Counter()
-    real_operator, real_closure = P.sym_operator, S.sym_pre_theta_closure
+    real_operator, real_closure = S.sym_operator, S.sym_pre_theta_closure
 
     def counting_operator(space, op, t):
         if op != "pcl-theta":
@@ -498,7 +519,7 @@ def _saturations_per_key(monkeypatch, cid):
         evaluated[space, "pcl-theta", t.counts] += 1
         return real_closure(space, t)
 
-    monkeypatch.setattr(P, "sym_operator", counting_operator)
+    monkeypatch.setattr(S, "sym_operator", counting_operator)
     monkeypatch.setattr(S, "sym_pre_theta_closure", counting_closure)
     report = run_claim(cid, Universe.parse("catalog"))
     assert report.status == "pass"
@@ -672,7 +693,6 @@ def _template_simple(space, name):
     """Reference: the template searches these properties were decided with
     on skeletons before the top-class rules and the probe-row rule of
     aleph0-ed."""
-    from topolab.properties import _sym_saturate
     from topolab.skeleton import sym_complement
 
     templates = classified_templates(space)
@@ -686,7 +706,7 @@ def _template_simple(space, name):
             flags.dense and space.classify(sym_complement(space, t)).dense
             for t, flags in templates)
     if name == "extremally-disconnected":
-        return all(space.classify(_sym_saturate(space, "cl", t)).open
+        return all(space.classify(space.operator("cl", t)).open
                    for t, flags in templates if flags.open)
     if name == "preconnected":
         return not any(flags.preregular and not t.is_empty() and not t.is_full()

@@ -261,6 +261,29 @@ def test_class_masks_match_the_matrix_tables():
     assert len(corpus) == 186
 
 
+def test_class_relations_are_copy_uniform():
+    """The order, the delta-order and the reversed order on the probe relate
+    two points as their classes' same-copy mask says within a copy and as
+    the cross mask says across copies, and a node's cross mask lies inside
+    its same-copy mask: the masks read from copy 0 are the whole relation."""
+    for sk in _mask_corpus():
+        pts = sk._points(sk.probe_copies())
+        probe = sk._probe
+        relations = (
+            (sk.probe_rows, sk.down_masks),
+            (probe._min_regular_nbhd, sk.down_masks_s),
+            ([probe.closure(1 << y) for y in range(probe.n)], sk.up_masks),
+        )
+        for rows, (same, cross) in relations:
+            for x, (i, c, e) in enumerate(pts):
+                for y, (j, d, f) in enumerate(pts):
+                    mask = same[i, f] if (i, c) == (j, d) else cross[i, (j, f)]
+                    assert rows[x] >> y & 1 == mask >> e & 1, (format_skel(sk), x, y)
+            for i, nd in enumerate(sk.nodes):
+                for f in range(nd.size):
+                    assert cross[i, (i, f)] & ~same[i, f] == 0, format_skel(sk)
+
+
 def _random_relation(rng):
     """Nodes and relations drawn with no closure, most of them not a preorder."""
     nodes = tuple(Node(f"n{i}", rng.choice([1, 2, 3, 4, None]),
@@ -362,6 +385,50 @@ def test_indiscrete_omega_int_of_proper_set_empty():
                  {"x": {(0,): INF, (): FIN}}):
         a = SymbolicSet.from_names(io, spec)
         assert sym_operator(io, "int", a).is_empty()
+
+
+CATALOG_SKELETON_NAMES = tuple(name for name in catalog_names()
+                               if isinstance(catalog(name).space, SkeletonSpace))
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (SymbolicAmbiguity, SymbolicIncomplete) as exc:
+        return type(exc)
+
+
+def test_skeleton_operators_answer_exactly_the_core_names():
+    import topolab.skeleton as S
+    from topolab.core import OPERATORS
+
+    assert set(S._OPS) | {"pcl-theta"} == set(OPERATORS)
+    sk = catalog("excluded-point-omega").space
+    t = full_set(sk)
+    for name in OPERATORS:
+        assert sym_operator(sk, name, t).is_full(), name
+    for name in ("delta-pint", "id", "closure"):
+        with pytest.raises(SkeletonError, match="unknown operator"):
+            sym_operator(sk, name, t)
+        with pytest.raises(SkeletonError, match="unknown operator"):
+            sk.operator(name, t)
+
+
+@pytest.mark.parametrize("name", CATALOG_SKELETON_NAMES)
+def test_operator_by_name_is_sym_operator_memoized(name):
+    from topolab.core import OPERATORS
+
+    sk = parse_skel(format_skel(catalog(name).space))  # a cold memo
+    for t in all_symbolic_sets(sk):
+        for op in OPERATORS:
+            want = _outcome(lambda: sym_operator(sk, op, t))
+            got = _outcome(lambda: sk.operator(op, t))
+            assert got == want, (op, str(t))
+            stored = sk.memo[op, t.counts]
+            if isinstance(stored, Exception):
+                assert type(stored) is want
+            else:
+                assert stored is got and sk.operator(op, t) is got
 
 
 def test_sym_classify_excluded_point_preopen_only_full():

@@ -285,6 +285,16 @@ def test_named_hunt_targets_run():
     assert res["checked"] > 0
 
 
+@pytest.mark.parametrize("universe", ["catalog", "exhaustive:3"])
+def test_tn1_converse_is_the_reversed_tn1_edge(universe):
+    u = Universe.parse(universe)
+    named = search_counterexample("tn1-converse", u)
+    pair = search_counterexample(("p-closed", "pre-theta-compact"), u)
+    assert named["target"] == "tn1-converse"
+    for key in ("witness", "details", "checked", "skipped_unknown"):
+        assert named[key] == pair[key], key
+
+
 def test_reversal_report_lists_unattempted():
     rep = reversal_report(CAT)
     assert rep["p-closed=>qhc"]["witness"] == "indiscrete-omega"

@@ -504,10 +504,7 @@ def _exists_separating_preopen(space, f_set, node, group_pat, elem) -> bool:
     if sum(nd.size for nd in space.nodes) > 12:  # 4096 masks
         raise SkeletonOverflow("separation search too large")
     cfg = _marked_config(space, f_set, node, group_pat, elem)
-    point = cfg.append_patterns([
-        [(1 << elem) if (m and i == node) else 0 for _, _, m in node_groups]
-        for i, node_groups in enumerate(cfg.groups)
-    ])
+    point = cfg.op_marked(node, 1 << elem)
     base = cfg.slots
     found = space.recall(("separators",), dict)  # an insertion-ordered set
     masks = itertools.product(*(range(1 << nd.size) for nd in space.nodes))

@@ -14,7 +14,10 @@ Subsets of a realization are abstracted per node by how many copies carry
 each block-element pattern: an exact count for finite nodes, one of
 ZERO/FIN/INF for omega nodes.  Closure and interior of a set depend only on
 this abstraction (copies of a class are interchangeable), so the operators
-below are exact, not approximations.  The one delicate construction is a
+below are exact, not approximations.  A ``Config`` tracks several such
+subsets aligned copy by copy, each as one int with a bit field per group of
+copies (``_Layout``): set operations are int operations, and a closure reads
+one table entry per node (``_Segments``).  The one delicate construction is a
 "marked copy" (one distinguished copy of a node, used for generic-point
 arguments); marked configurations never carry the ambiguous FIN class on
 the marked copy, which keeps every decision definite, and the engine raises
@@ -25,6 +28,7 @@ indeterminate count.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -369,8 +373,9 @@ class SkeletonSpace:
 
     @cached_property
     def memo(self) -> dict:
-        """The symbolic deciders' results on this space, keyed by a tag and
-        template counts (not by a SymbolicSet, whose hash walks the space)."""
+        """The symbolic deciders' results on this space and its Config
+        layouts, keyed by a tag and template counts or group kinds (not by a
+        SymbolicSet, whose hash walks the space)."""
         return {}
 
     def recall(self, key, compute):
@@ -400,6 +405,14 @@ class SkeletonSpace:
         saturations of the cover deciders and the pre-theta closures of
         classification share it."""
         return self.recall((name, t.counts), lambda: sym_operator(self, name, t))
+
+    def layout(self, kinds: tuple) -> "_Layout":
+        """The slot layout of a Config whose groups have these kinds,
+        memoized under ``("layout", kinds)`` with its segment tables."""
+        key = ("layout", kinds)
+        if key not in self.memo:
+            self.memo[key] = _Layout(self, kinds)
+        return self.memo[key]
 
     def __str__(self):
         parts = []
@@ -545,115 +558,272 @@ def full_set(space: SkeletonSpace) -> SymbolicSet:
 # -- the aligned-group engine -------------------------------------------------
 #
 # A Config tracks several subsets of one realization with known per-copy
-# alignment: per node, a list of groups (card, patterns-per-slot, marked).
-# Operators append new slots, so derived sets stay aligned with their
-# sources and intersections/unions of tracked sets are exact.
+# alignment.  The copies of each node fall into groups: a card of copies
+# that agree on every tracked set.  A tracked set is a slot, one int with a
+# field of ``size`` bits per group holding the group's pattern, laid out by
+# the skeleton's ``_Layout`` for the kinds of the config's groups.  Operators
+# append new slots, so derived sets stay aligned with their sources; a
+# complement, union or intersection of tracked sets is one int operation,
+# and a closure one table entry per node.
+
+_SURE, _UNSURE, _EMPTY = "sure", "unsure", "empty"  # the kinds of group
 
 
-@dataclass
+def _group_kind(card) -> str:
+    """A group's copies surely exist, may all be missing (``_FIN0``), or
+    there are none (card 0)."""
+    return _UNSURE if card == _FIN0 else _SURE if card else _EMPTY
+
+
+class _Layout:
+    """Where the groups of a Config lie in its slots, for one shape of group
+    kinds (per node, the kind of each group), memoized on the skeleton
+    (``SkeletonSpace.layout``).
+
+    Group g of node i is the field of ``size_i`` bits at ``offsets[i][g]``.
+    The groups of node i follow each other from ``starts[i]``; ``spans[i]``
+    masks that segment once shifted down by ``starts[i]``.  ``reps[i]``
+    holds the lowest bit of each field of node i, so a pattern times it is
+    that pattern on every group of node i.  ``full`` fills every field;
+    ``sure`` covers the fields of groups whose copies exist, ``unsure``
+    those of groups whose copies may not (``_FIN0``), ``counted`` both.
+    """
+
+    def __init__(self, space: SkeletonSpace, kinds: tuple):
+        self.space = space
+        self.kinds = kinds
+        self.offsets, self.starts, self.spans, self.reps = [], [], [], []
+        self.full = self.sure = self.unsure = 0
+        start = 0
+        for nd, node_kinds in zip(space.nodes, kinds):
+            end = start + nd.size * len(node_kinds)
+            offsets = range(start, end, nd.size)
+            rep = sum(1 << off for off in offsets)
+            self.offsets.append(offsets)
+            self.starts.append(start)
+            self.spans.append((1 << end - start) - 1)
+            self.reps.append(rep)
+            self.full |= nd.full_pattern * rep
+            for off, kind in zip(offsets, node_kinds):
+                if kind == _SURE:
+                    self.sure |= nd.full_pattern << off
+                elif kind == _UNSURE:
+                    self.unsure |= nd.full_pattern << off
+            start = end
+        self.counted = self.sure | self.unsure
+
+    def _segment_tables(self, tables) -> tuple:
+        return tuple((start, span, _Segments(self, j, tables))
+                     for j, (start, span) in enumerate(zip(self.starts, self.spans)))
+
+    @cached_property
+    def down_segments(self):
+        return self._segment_tables(self.space.down_tables)
+
+    @cached_property
+    def down_segments_s(self):
+        return self._segment_tables(self.space.down_tables_s)
+
+    @cached_property
+    def up_segments(self):
+        return self._segment_tables(self.space.up_tables)
+
+    @cached_property
+    def unsure_only(self) -> "_Layout":
+        """The layout of the same fields in which only this layout's
+        indeterminate groups count as sure: its closures put on every group
+        the cross-copy masks that those groups' copies would add."""
+        return self.space.layout(tuple(
+            tuple(_SURE if kind == _UNSURE else _EMPTY for kind in node_kinds)
+            for node_kinds in self.kinds))
+
+
+class _Segments(dict):
+    """The closure's table for node j of a layout, filled on first use: for
+    each value of node j's segment of a slot, the same-copy closure of each
+    of its groups in place, ORed with the cross-copy masks that its sure
+    groups put on every group of every node i (``uniform_i * reps[i]``).
+    The closure of a slot is the OR of one entry per node."""
+
+    __slots__ = ("layout", "j", "tables")
+
+    def __init__(self, layout: _Layout, j: int, tables):
+        super().__init__()
+        self.layout, self.j, self.tables = layout, j, tables
+
+    def __missing__(self, segment: int) -> int:
+        lay, j = self.layout, self.j
+        same, cross = self.tables
+        full = lay.space.nodes[j].full_pattern
+        out = sure = 0
+        for off, kind in zip(lay.offsets[j], lay.kinds[j]):
+            pat = segment >> off - lay.starts[j] & full
+            out |= same[j][pat] << off
+            if kind == _SURE:
+                sure |= pat
+        for i, rep in enumerate(lay.reps):
+            out |= cross[i][j][sure] * rep
+        self[segment] = out
+        return out
+
+
+def _segments_or(value: int, segments) -> int:
+    """The OR of the entries of ``segments`` (a ``_Layout``'s segment
+    tables) for the node segments of a slot value."""
+    out = 0
+    for start, span, table in segments:
+        out |= table[value >> start & span]
+    return out
+
+
+class _Patterns(Sequence):
+    """One group's pattern in each slot of a Config, read from the packed
+    slots on demand: the pattern lists of the decoded view
+    ``Config.groups``, which compare equal to plain lists."""
+
+    def __init__(self, values: list, off: int, full: int):
+        self.values, self.off, self.full = values, off, full
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, slot: int) -> int:
+        return self.values[slot] >> self.off & self.full
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 class Config:
-    space: SkeletonSpace
-    groups: list  # per node: list of [card, list_of_patterns, marked]
-    slots: int = 1  # patterns per group
+    """Aligned subsets of one realization (slots), packed by a ``_Layout``."""
+
+    def __init__(self, space: SkeletonSpace, groups, slots: int = 1):
+        """``groups`` per node: a list of [card, patterns, marked], with a
+        pattern for each of the first ``slots`` slots; at most one group is
+        marked (``_marked_config``)."""
+        self.space = space
+        self.cards = tuple(tuple(g[0] for g in node_groups) for node_groups in groups)
+        self.layout = space.layout(
+            tuple(tuple(map(_group_kind, cards)) for cards in self.cards))
+        self.marked = None  # (node, offset) of the marked group
+        for i, (node_groups, offsets) in enumerate(zip(groups, self.layout.offsets)):
+            for g, off in zip(node_groups, offsets):
+                if g[2]:
+                    self.marked = (i, off)
+        self.values = []
+        for s in range(slots):
+            self.append_patterns([[g[1][s] for g in node_groups] for node_groups in groups])
 
     @staticmethod
     def of(space: SkeletonSpace, a: SymbolicSet) -> "Config":
+        """One slot holding ``a``, one group per pattern; every card of a
+        symbolic set is nonzero and definite, so every group is sure."""
         if a.space is not space and a.space != space:
             raise SkeletonError("set does not fit the skeleton")
-        return Config(
-            space, [[[card, [pat], False] for pat, card in pairs] for pairs in a.counts]
-        )
+        cfg = Config.__new__(Config)
+        cfg.space, cfg.marked = space, None
+        cfg.cards = tuple([tuple([card for _pat, card in pairs]) for pairs in a.counts])
+        cfg.layout = space.layout(tuple([(_SURE,) * len(pairs) for pairs in a.counts]))
+        value = 0
+        for pairs, offsets in zip(a.counts, cfg.layout.offsets):
+            for (pat, _card), off in zip(pairs, offsets):
+                value |= pat << off
+        cfg.values = [value]
+        return cfg
+
+    @cached_property
+    def groups(self) -> tuple:
+        """The decoded view: per node, (card, patterns per slot, marked) for
+        each group, the patterns read from the slots on demand
+        (``_Patterns``)."""
+        return tuple(tuple((card, _Patterns(self.values, off, nd.full_pattern),
+                            self.marked == (i, off))
+                           for card, off in zip(cards, offsets))
+                     for i, (nd, cards, offsets) in enumerate(
+                         zip(self.space.nodes, self.cards, self.layout.offsets)))
 
     # -- slot bookkeeping --
 
-    def append_patterns(self, per_group_patterns):
-        for node_groups, pats in zip(self.groups, per_group_patterns):
-            for g, p in zip(node_groups, pats):
-                g[1].append(p)
-        return self._new_slot()
+    @property
+    def slots(self) -> int:
+        return len(self.values)
 
-    def _new_slot(self) -> int:
-        self.slots += 1
-        return self.slots - 1
+    def _push(self, value: int) -> int:
+        self.values.append(value)
+        return len(self.values) - 1
+
+    def append_patterns(self, per_group_patterns) -> int:
+        value = 0
+        for pats, offsets in zip(per_group_patterns, self.layout.offsets):
+            for p, off in zip(pats, offsets):
+                value |= p << off
+        return self._push(value)
 
     def truncate(self, slots: int) -> None:
         """Drop every slot from ``slots`` on, for the search's next trial."""
-        for node_groups in self.groups:
-            for _card, pats, _marked in node_groups:
-                del pats[slots:]
-        self.slots = slots
+        del self.values[slots:]
 
-    # -- primitive ops (each appends its result to every group's patterns) --
+    # -- the marked copy --
+
+    def _marked_offset(self, node: int) -> int:
+        if self.marked is None or self.marked[0] != node:
+            raise SkeletonError("no marked group")
+        return self.marked[1]
+
+    def marked_pattern(self, node: int, slot: int) -> int:
+        """The pattern of ``slot`` on the marked copy, a copy of ``node``."""
+        return self.values[slot] >> self._marked_offset(node) & self.space.nodes[node].full_pattern
+
+    def op_marked(self, node: int, pattern: int) -> int:
+        """New slot holding ``pattern`` on the marked copy, a copy of
+        ``node``, and nothing elsewhere."""
+        return self._push(pattern << self._marked_offset(node))
+
+    # -- primitive ops (each appends its result as a new slot) --
 
     def op_not(self, slot: int) -> int:
-        for node_groups, full in zip(self.groups, self.space.full_patterns):
-            for _card, pats, _marked in node_groups:
-                pats.append(pats[slot] ^ full)
-        return self._new_slot()
+        return self._push(self.values[slot] ^ self.layout.full)
 
     def op_or(self, s1: int, s2: int) -> int:
-        for node_groups in self.groups:
-            for _card, pats, _marked in node_groups:
-                pats.append(pats[s1] | pats[s2])
-        return self._new_slot()
+        return self._push(self.values[s1] | self.values[s2])
 
     def op_and(self, s1: int, s2: int) -> int:
-        for node_groups in self.groups:
-            for _card, pats, _marked in node_groups:
-                pats.append(pats[s1] & pats[s2])
-        return self._new_slot()
+        return self._push(self.values[s1] & self.values[s2])
 
     def op_diff(self, s1: int, s2: int) -> int:
-        for node_groups in self.groups:
-            for _card, pats, _marked in node_groups:
-                pats.append(pats[s1] & ~pats[s2])
-        return self._new_slot()
+        return self._push(self.values[s1] & ~self.values[s2])
 
-    def _op_downclose(self, slot: int, tables) -> int:
-        """Down-closure through pattern tables (``SkeletonSpace.down_tables``),
-        or up-closure through ``SkeletonSpace.up_tables``.
-        Each node's patterns on copies that surely exist, and on copies that
-        may not (``_FIN0``), are ORed into one mask apiece; the ambiguity
-        test runs before anything is appended."""
-        same_tab, cross_tab = tables
-        sure, unsure = [], []
-        for node_groups in self.groups:
-            s = u = 0
-            for card, pats, _marked in node_groups:
-                if card == _FIN0:
-                    u |= pats[slot]
-                elif card:
-                    s |= pats[slot]
-            sure.append(s)
-            unsure.append(u)
-        uniforms = []
-        for node_groups, same, cross in zip(self.groups, same_tab, cross_tab):
-            uniform = maybe = 0
-            for tab, s, u in zip(cross, sure, unsure):
-                uniform |= tab[s]
-                maybe |= tab[u]
-            if maybe and any(maybe & ~(uniform | same[pats[slot]])
-                             for _card, pats, _marked in node_groups):
-                raise SymbolicAmbiguity("closure depends on an indeterminate copy count")
-            uniforms.append(uniform)
-        for node_groups, same, uniform in zip(self.groups, same_tab, uniforms):
-            for _card, pats, _marked in node_groups:
-                pats.append(uniform | same[pats[slot]])
-        return self._new_slot()
+    def _op_downclose(self, slot: int, tables: str) -> int:
+        """Down-closure through the layout's segment tables ``tables``
+        (``_Layout.down_segments`` or ``down_segments_s``), or up-closure
+        through ``up_segments``: the OR, over nodes, of the entry
+        (``_Segments``) for that node's segment of the slot.  When some
+        group is indeterminate, the cross-copy masks its copies would add
+        must already lie in every group's result: the closure of the slot
+        in ``_Layout.unsure_only`` (the same same-copy closures, plus those
+        masks) adds nothing to it.  The test runs before the slot is
+        appended."""
+        value, layout = self.values[slot], self.layout
+        out = _segments_or(value, getattr(layout, tables))
+        if layout.unsure and _segments_or(value, getattr(layout.unsure_only, tables)) & ~out:
+            raise SymbolicAmbiguity("closure depends on an indeterminate copy count")
+        return self._push(out)
 
     def op_cl(self, slot: int) -> int:
-        return self._op_downclose(slot, self.space.down_tables)
+        return self._op_downclose(slot, "down_segments")
 
     def op_cl_delta(self, slot: int) -> int:
-        return self._op_downclose(slot, self.space.down_tables_s)
+        return self._op_downclose(slot, "down_segments_s")
 
     def op_up(self, slot: int) -> int:
-        return self._op_downclose(slot, self.space.up_tables)
+        return self._op_downclose(slot, "up_segments")
 
     def op_const(self, patterns) -> int:
         """New slot holding ``patterns[i]`` on every copy of node i."""
-        return self.append_patterns(
-            [[p] * len(node_groups) for node_groups, p in zip(self.groups, patterns)])
+        return self._push(sum(p * rep for p, rep in zip(patterns, self.layout.reps)))
 
     def op_int(self, slot: int) -> int:
         return self.op_not(self.op_cl(self.op_not(slot)))
@@ -676,66 +846,65 @@ class Config:
         upper = self.op_and(single, self.op_up(slot))
         return self.op_or(slot, self.op_cl(self.op_or(inner, upper)))
 
+    def op_pint(self, slot: int, delta: bool = False) -> int:
+        """The largest preopen subset of S = ``slot``, S & int cl S, or with
+        ``delta`` the largest delta-preopen one, S & int cl_delta S.
+
+        Let U be int cl S (int cl_delta S) and P = S & U.  A point y of U
+        lies in cl S, so every open W around y meets S inside the open
+        W & U: U lies in cl P.  In the delta case U is regular open, the
+        complement of the closure of the union of the regular open sets
+        that miss S; a regular open W around y holds the regular open
+        int cl (W & U) around y, inside W & U, which meets S as y lies in
+        cl_delta S: U lies in cl_delta P.  So P lies in U, inside int cl P
+        (int cl_delta P), and P is (delta-)preopen.  A (delta-)preopen Q
+        inside S lies in int cl Q (int cl_delta Q), inside U, so in P.
+        ``FiniteSpace.delta_preclosure`` takes the same closed form."""
+        grown = self.op_cl_delta(slot) if delta else self.op_cl(slot)
+        return self.op_and(slot, self.op_int(grown))
+
     # -- slot predicates --
 
     def slot_subset(self, s1: int, s2: int) -> bool:
-        ambiguous = False
-        for node_groups in self.groups:
-            for card, pats, _m in node_groups:
-                if card != 0 and pats[s1] & ~pats[s2]:
-                    if card == _FIN0:
-                        ambiguous = True
-                    else:
-                        return False
-        if ambiguous:
+        """A sure group outside decides False before an indeterminate one
+        raises."""
+        outside = self.values[s1] & ~self.values[s2]
+        if outside & self.layout.sure:
+            return False
+        if outside & self.layout.unsure:
             raise SymbolicAmbiguity("subset test on indeterminate count")
         return True
 
     def slot_equal(self, s1: int, s2: int) -> bool:
         return self.slot_subset(s1, s2) and self.slot_subset(s2, s1)
 
+    def _untouched(self, value: int, what: str) -> bool:
+        """No group with copies has a bit of ``value``; the first group in
+        layout order (the lowest field) that has one decides, and an
+        indeterminate one raises."""
+        hit = value & self.layout.counted
+        if hit & -hit & self.layout.unsure:
+            raise SymbolicAmbiguity(what)
+        return not hit
+
     def slot_empty(self, slot: int) -> bool:
-        for node_groups in self.groups:
-            for card, pats, _m in node_groups:
-                if pats[slot] and card != 0:
-                    if card == _FIN0:
-                        raise SymbolicAmbiguity("emptiness on indeterminate count")
-                    return False
-        return True
+        return self._untouched(self.values[slot], "emptiness on indeterminate count")
 
     def slot_full(self, slot: int) -> bool:
-        for node_groups, full in zip(self.groups, self.space.full_patterns):
-            for card, pats, _m in node_groups:
-                if pats[slot] != full and card != 0:
-                    if card == _FIN0:
-                        raise SymbolicAmbiguity("fullness on indeterminate count")
-                    return False
-        return True
-
-    # -- fixpoints --
-
-    def op_pint(self, slot: int, delta: bool = False) -> int:
-        """Largest preopen (or delta-preopen) subset, by decreasing fixpoint."""
-        cur = slot
-        while True:
-            grown = self.op_cl_delta(cur) if delta else self.op_cl(cur)
-            nxt = self.op_and(slot, self.op_not(self.op_cl(self.op_not(grown))))
-            # nxt = slot & int(cl*(cur))
-            if self.slot_equal(nxt, cur):
-                return cur
-            cur = nxt
+        return self._untouched(self.values[slot] ^ self.layout.full,
+                               "fullness on indeterminate count")
 
     def to_set(self, slot: int) -> SymbolicSet:
+        value = self.values[slot]
         counts = []
-        for i, node_groups in enumerate(self.groups):
-            merged = {}
-            for card, pats, _m in node_groups:
+        for nd, cards, offsets in zip(self.space.nodes, self.cards, self.layout.offsets):
+            merged, full = {}, nd.full_pattern
+            for card, off in zip(cards, offsets):
                 if card == _FIN0:
                     raise SymbolicAmbiguity("projecting an indeterminate count")
-                pat = pats[slot]
+                pat = value >> off & full
                 merged[pat] = _card_add(merged.get(pat, 0), card)
-            nd = self.space.nodes[i]
-            if nd.is_omega and not any(c == INF for c in merged.values()):
+            if nd.is_omega and INF not in merged.values():
                 raise SymbolicAmbiguity("omega node lost its INF class")
             counts.append(tuple(sorted(merged.items())))
         return SymbolicSet(self.space, counts)
@@ -751,29 +920,20 @@ def _marked_config(space, a: SymbolicSet, node: int, group_pat: int, elem: int):
     ``marked``.  Marked configurations never place the ambiguous FIN count
     on the marked copy itself, which keeps generic-point decisions definite.
     """
-    cfg = Config.of(space, a)
-    node_groups = cfg.groups[node]
-    for g in node_groups:
+    if a.space is not space and a.space != space:
+        raise SkeletonError("set does not fit the skeleton")
+    groups = [[[card, [pat], False] for pat, card in pairs] for pairs in a.counts]
+    for g in groups[node]:
         if g[1][0] == group_pat and g[0] != 0:
             card = g[0]
-            if card == INF:
-                rest = INF
-            elif card == FIN:
-                rest = _FIN0
-            else:
-                rest = card - 1
-            new = [1, list(g[1]), True]
-            g[0] = rest
-            node_groups.append(new)
-            return cfg
+            g[0] = INF if card == INF else _FIN0 if card == FIN else card - 1
+            groups[node].append([1, [group_pat], True])
+            return Config(space, groups)
     raise SkeletonError("marked group not found")
 
 
 def _marked_pattern(cfg: Config, node: int, slot: int) -> int:
-    for card, gpats, marked in cfg.groups[node]:
-        if marked:
-            return gpats[slot]
-    raise SkeletonError("no marked group")
+    return cfg.marked_pattern(node, slot)
 
 
 def sym_complement(space, a: SymbolicSet) -> SymbolicSet:
@@ -821,7 +981,6 @@ def sym_classify(space: SkeletonSpace, a: SymbolicSet) -> ClassFlags:
     s_intcld = cfg.op_int(s_cld)
     comp = cfg.op_not(s_a)
     s_cld_c = cfg.op_cl_delta(comp)
-    s_int_c = cfg.op_int(comp)
     preopen = cfg.slot_subset(s_a, s_intcl)
     preclosed = cfg.slot_subset(s_clint, s_a)
     semi_open = cfg.slot_subset(s_a, s_clint)

@@ -291,6 +291,25 @@ def test_delta_preclosure_fixpoint_matches_the_superset_scan():
         all_spaces(2)[0].delta_preclosure(0b100)
 
 
+def _delta_preclosure_by_fixpoint(sp, a):
+    """Reference: the complement of the decreasing fixpoint
+    P <- S & int(cl_delta(P)) from P = S, the complement of ``a``."""
+    rest = sp.full ^ a
+    cur = rest
+    while True:
+        nxt = rest & sp.interior(sp.delta_closure(cur))
+        if nxt == cur:
+            return sp.full ^ cur
+        cur = nxt
+
+
+def test_delta_preclosure_closed_form_matches_the_fixpoint():
+    for n in (1, 2, 3, 4):
+        for sp in all_spaces(n):
+            for a in range(sp.full + 1):
+                assert sp.delta_preclosure(a) == _delta_preclosure_by_fixpoint(sp, a), (sp, a)
+
+
 def test_operator_by_name_is_the_named_method():
     assert tuple(core.OPERATORS) == ("int", "cl", "consolidation", "pcl", "pint",
                                      "scl", "delta-cl", "delta-pcl", "pcl-theta")

@@ -749,6 +749,165 @@ def test_downclose_tables_match_the_reference_on_indeterminate_counts():
     assert outcomes[False] > 1000 and outcomes[True] > 50
 
 
+# -- the packed slots against per-group references on the decoded groups ---------
+
+
+def _reference_subset(groups, s1, s2):
+    ambiguous = False
+    for node_groups in groups:
+        for card, pats, _marked in node_groups:
+            if card != 0 and pats[s1] & ~pats[s2]:
+                if card == _FIN0:
+                    ambiguous = True
+                else:
+                    return False
+    if ambiguous:
+        raise SymbolicAmbiguity("subset test on indeterminate count")
+    return True
+
+
+def _reference_untouched(space, groups, slot, bad):
+    """No group with copies has a ``bad(pattern, full)`` pattern; the
+    first one in group order that has decides, and _FIN0 raises."""
+    for nd, node_groups in zip(space.nodes, groups):
+        for card, pats, _marked in node_groups:
+            if card != 0 and bad(pats[slot], nd.full_pattern):
+                if card == _FIN0:
+                    raise SymbolicAmbiguity("indeterminate count")
+                return False
+    return True
+
+
+def _reference_to_set(space, groups, slot):
+    counts = []
+    for nd, node_groups in zip(space.nodes, groups):
+        merged = {}
+        for card, pats, _marked in node_groups:
+            if card == _FIN0:
+                raise SymbolicAmbiguity("projecting an indeterminate count")
+            merged[pats[slot]] = _card_add(merged.get(pats[slot], 0), card)
+        if nd.is_omega and INF not in merged.values():
+            raise SymbolicAmbiguity("omega node lost its INF class")
+        counts.append(tuple(sorted(merged.items())))
+    return SymbolicSet(space, counts)
+
+
+_REFERENCE_OPS = {  # per group: (full pattern, patterns per slot, args) -> pattern
+    "op_not": lambda full, pats, s: pats[s[0]] ^ full,
+    "op_or": lambda full, pats, s: pats[s[0]] | pats[s[1]],
+    "op_and": lambda full, pats, s: pats[s[0]] & pats[s[1]],
+    "op_diff": lambda full, pats, s: pats[s[0]] & ~pats[s[1]],
+}
+
+
+def _check_primitives(cfg, rng, closures=True):
+    """Every primitive op and predicate of ``cfg`` against a reference read
+    from its decoded groups, values and ambiguity both, over its slots and
+    two random ones, then (with ``closures``) the closures of each slot
+    (``_check_downclose``).  Returns the closures' outcomes."""
+    sk = cfg.space
+    fulls = [nd.full_pattern for nd in sk.nodes]
+    for _ in range(2):
+        cfg.append_patterns([[rng.randrange(full + 1) for _g in node_groups]
+                             for node_groups, full in zip(cfg.groups, fulls)])
+    groups = cfg.groups
+    assert Config(sk, groups, cfg.slots).groups == groups
+    slots = range(cfg.slots)
+    made = {}
+    for s1 in slots:
+        made["op_not", (s1,)] = cfg.op_not(s1)
+        for s2 in slots:
+            for op in ("op_or", "op_and", "op_diff"):
+                made[op, (s1, s2)] = getattr(cfg, op)(s1, s2)
+            assert (_outcome(lambda: cfg.slot_subset(s1, s2))
+                    == _outcome(lambda: _reference_subset(groups, s1, s2))), (str(sk), groups)
+        for pred, bad in (("slot_empty", lambda p, full: p != 0),
+                          ("slot_full", lambda p, full: p != full)):
+            assert (_outcome(lambda: getattr(cfg, pred)(s1))
+                    == _outcome(lambda: _reference_untouched(sk, groups, s1, bad))), (
+                str(sk), pred, groups, s1)
+        assert (_outcome(lambda: cfg.to_set(s1))
+                == _outcome(lambda: _reference_to_set(sk, groups, s1)))
+    patterns = [rng.randrange(full + 1) for full in fulls]
+    const = cfg.op_const(patterns)
+    after = cfg.groups
+    for (op, args), new in made.items():
+        assert [[g[1][new] for g in node_groups] for node_groups in after] == [
+            [_REFERENCE_OPS[op](full, g[1], args) for g in node_groups]
+            for full, node_groups in zip(fulls, groups)], (str(sk), op, args, groups)
+    assert [[g[1][const] for g in node_groups] for node_groups in after] == [
+        [p] * len(node_groups) for p, node_groups in zip(patterns, groups)]
+    outcomes = Counter()
+    if closures:
+        for slot in slots:
+            _check_downclose(cfg, slot, outcomes)
+    return outcomes
+
+
+def test_packed_primitives_match_the_per_group_reference_on_every_template():
+    rng = random.Random(7)
+    outcomes = Counter()
+    for sk in _kernel_spaces():
+        for t in all_symbolic_sets(sk):
+            cfg = Config.of(sk, t)
+            assert cfg.to_set(0) == t
+            assert cfg.groups == tuple(tuple((card, [pat], False) for pat, card in pairs)
+                                       for pairs in t.counts)
+            outcomes += _check_primitives(cfg, rng, closures=len(sk.nodes) > 1)
+    assert outcomes[False] > 1000 and not outcomes[True]
+
+
+def test_packed_primitives_match_the_per_group_reference_on_marked_configs():
+    """Marked configurations: a FIN group split into the marked copy and a
+    possibly empty rest (``_FIN0``), an exact group left with no copies or
+    with some, an INF group with INF.  Their closures are checked by
+    ``test_downclose_tables_match_the_reference_on_indeterminate_counts``."""
+    rng = random.Random(8)
+    kinds = Counter()
+    for sk in _kernel_spaces():
+        for t in all_symbolic_sets(sk)[::3]:
+            for i, pairs in enumerate(t.counts):
+                for pat, card in pairs:
+                    e = rng.randrange(sk.nodes[i].size)
+                    cfg = _marked_config(sk, t, i, pat, e)
+                    x = cfg.op_marked(i, 1 << e)
+                    assert [[g[1][x] for g in node_groups] for node_groups in cfg.groups] == [
+                        [(1 << e) if marked else 0 for _card, _pats, marked in node_groups]
+                        for node_groups in cfg.groups]
+                    _check_primitives(cfg, rng, closures=False)
+                    marked = cfg.groups[i][-1][1]
+                    assert [_marked_pattern(cfg, i, s) for s in range(cfg.slots)] == marked
+                    kinds[card if card in (FIN, INF) else "none left" if card == 1
+                          else "some left"] += 1
+    assert len(kinds) == 4 and min(kinds[FIN], kinds["none left"]) > 100, kinds
+
+
+def _pint_fixpoint(cfg, slot, delta=False):
+    """The decreasing fixpoint P <- S & int(cl P) (cl_delta with ``delta``)
+    from P = S = ``slot``: the oracle for ``Config.op_pint``'s closed form."""
+    cur = slot
+    while True:
+        grown = cfg.op_cl_delta(cur) if delta else cfg.op_cl(cur)
+        nxt = cfg.op_and(slot, cfg.op_int(grown))
+        if cfg.slot_equal(nxt, cur):
+            return cur
+        cur = nxt
+
+
+def test_pint_closed_form_matches_the_fixpoint_on_every_template():
+    compared = 0
+    for sk in ([catalog(name).space for name in CATALOG_SKELETON_NAMES]
+               + omega_skeletons(seed=3, count=30)):
+        for t in all_symbolic_sets(sk):
+            cfg = Config.of(sk, t)
+            comp = cfg.op_not(0)
+            for slot, delta in itertools.product((0, comp), (False, True)):
+                assert (cfg.to_set(cfg.op_pint(slot, delta))
+                        == cfg.to_set(_pint_fixpoint(cfg, slot, delta))), (str(sk), str(t))
+                compared += 1
+    assert compared > 10_000
+
+
 # -- the pre-theta split search, kept as the oracle for the closed form ----------
 #
 # Pre-theta interior membership of a generic point, decided by searching copy

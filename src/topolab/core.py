@@ -236,9 +236,6 @@ class FiniteSpace:
     def is_open(self, a: int) -> bool:
         return self.interior(a) == a
 
-    def is_closed(self, a: int) -> bool:
-        return self.closure(a) == a
-
     def check_fits(self, a: int):
         if a & ~self.full:
             raise TopologyError(f"subset {a:b} does not fit carrier of size {self.n}")
@@ -333,22 +330,6 @@ class FiniteSpace:
     def preopen_masks(self) -> tuple[int, ...]:
         return _canon(
             a for a in range(self.full + 1) if a & ~self.consolidation(a) == 0
-        )
-
-    def preopen_family(self) -> tuple[int, ...]:
-        return self.preopen_masks
-
-    def preopen_at(self, x: int) -> tuple[int, ...]:
-        if not 0 <= x < self.n:
-            raise TopologyError(f"point {x} outside carrier")
-        return tuple(a for a in self.preopen_masks if a >> x & 1)
-
-    @cached_property
-    def semiopen_masks(self) -> tuple[int, ...]:
-        return _canon(
-            a
-            for a in range(self.full + 1)
-            if a & ~self.closure(self.interior(a)) == 0
         )
 
     @cached_property
@@ -532,14 +513,6 @@ def map_classify(f: SpaceMap) -> MapFlags:
     return MapFlags(continuous, precontinuous, preirresolute)
 
 
-def semi_regular_sandwich(space: FiniteSpace, a: int) -> bool:
-    """Regular-open sandwich test: some regular open U has U <= a <= cl(U)."""
-    for u in space.regular_opens:
-        if u & ~a == 0 and a & ~space.closure(u) == 0:
-            return True
-    return False
-
-
 # -- the .topo text format ---------------------------------------------------
 
 
@@ -579,15 +552,6 @@ def parse_topo(text: str) -> FiniteSpace:
     if n is None:
         raise TopologyError("missing 'points N' line")
     return FiniteSpace(n, tuple(fam | {0, (1 << n) - 1}))
-
-
-def format_topo(space: FiniteSpace) -> str:
-    lines = [f"points {space.n}"]
-    for o in space.opens:
-        if o in (0, space.full):
-            continue
-        lines.append("open " + " ".join(str(p) for p in points_of(o)))
-    return "\n".join(lines) + "\n"
 
 
 # -- named tiny spaces used throughout the tests -----------------------------

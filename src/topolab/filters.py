@@ -135,12 +135,6 @@ def antichain_filter_bases(space: FiniteSpace, rng: random.Random | None = None,
             yield FilterBase(space, tuple(fam))
 
 
-def is_strictly_finer(fine: FilterBase, coarse: FilterBase) -> bool:
-    """Filter refinement up to equivalence on the finite carrier."""
-    mf, mc = fine.minimum(), coarse.minimum()
-    return mf & ~mc == 0 and mf != mc
-
-
 # -- clause evaluation for the absolute characterization -----------------------
 
 

@@ -41,7 +41,6 @@ from topolab.skeleton import (
     SymbolicIncomplete,
     SymbolicSet,
     _marked_config,
-    _marked_pattern,
     all_symbolic_sets,
     expand,
     finite_probe,
@@ -196,7 +195,7 @@ def _covering_templates(space, cp, i, e):
     pattern count."""
     for t in flagged(space, _CLASS_FLAG[cp.cover_class]):
         for pat, card in t.counts[i]:
-            if pat >> e & 1 and card != 0 and card != INF:
+            if pat >> e & 1 and card != INF:
                 yield t
                 break
 
@@ -503,18 +502,16 @@ def _exists_separating_preopen(space, f_set, node, group_pat, elem) -> bool:
     """
     if sum(nd.size for nd in space.nodes) > 12:  # 4096 masks
         raise SkeletonOverflow("separation search too large")
-    cfg = _marked_config(space, f_set, node, group_pat, elem)
+    cfg, f_value = _marked_config(space, f_set, node, group_pat)
     point = cfg.op_marked(node, 1 << elem)
-    base = cfg.slots
     found = space.recall(("separators",), dict)  # an insertion-ordered set
     masks = itertools.product(*(range(1 << nd.size) for nd in space.nodes))
     for choice in itertools.chain(list(found), (c for c in masks if c not in found)):
-        cfg.truncate(base)
-        v = cfg.op_diff(cfg.op_or(0, cfg.op_const(choice)), point)
+        v = (f_value | cfg.op_const(choice)) & ~point
         try:
-            if not cfg.slot_subset(v, cfg.op_int(cfg.op_cl(v))):
+            if not cfg.subset(v, cfg.op_int(cfg.op_cl(v))):
                 continue
-            if _marked_pattern(cfg, node, cfg.op_pcl(v)) >> elem & 1:
+            if cfg.marked_pattern(node, cfg.op_pcl(v)) >> elem & 1:
                 continue
         except SymbolicAmbiguity:
             continue
@@ -526,9 +523,7 @@ def _exists_separating_preopen(space, f_set, node, group_pat, elem) -> bool:
 def _skel_p_regularity(space: SkeletonSpace, kind: str) -> bool:
     for f_set in flagged(space, _SEPARATED_CLASS[kind]):
         for i, nd in enumerate(space.nodes):
-            for pat, card in f_set.counts[i]:
-                if card == 0:
-                    continue
+            for pat, _card in f_set.counts[i]:
                 for e in range(nd.size):
                     if pat >> e & 1:
                         continue  # the point would be inside the set

@@ -14,10 +14,11 @@ Subsets of a realization are abstracted per node by how many copies carry
 each block-element pattern: an exact count for finite nodes, one of
 ZERO/FIN/INF for omega nodes.  Closure and interior of a set depend only on
 this abstraction (copies of a class are interchangeable), so the operators
-below are exact, not approximations.  A ``Config`` tracks several such
-subsets aligned copy by copy, each as one int with a bit field per group of
-copies (``_Layout``): set operations are int operations, and a closure reads
-one table entry per node (``_Segments``).  The one delicate construction is a
+below are exact, not approximations.  A ``Config`` is a frame in which such
+subsets are aligned copy by copy: each subset is a value, one int with a bit
+field per group of copies (``_Layout``).  Operators take values and return
+values, set operations are the int operations, and a closure reads one table
+entry per node (``_Segments``).  The one delicate construction is a
 "marked copy" (one distinguished copy of a node, used for generic-point
 arguments); marked configurations never carry the ambiguous FIN class on
 the marked copy, which keeps every decision definite, and the engine raises
@@ -28,7 +29,6 @@ indeterminate count.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -316,10 +316,6 @@ class SkeletonSpace:
         return self._pattern_tables(self.down_masks_s)
 
     @cached_property
-    def full_patterns(self) -> tuple[int, ...]:
-        return tuple(nd.full_pattern for nd in self.nodes)
-
-    @cached_property
     def up_masks(self):
         """The class masks of the reversed order, read from the down-set
         rows: up_same[i, e] and up_cross[j, (i, e)] hold the classes above
@@ -407,7 +403,7 @@ class SkeletonSpace:
         return self.recall((name, t.counts), lambda: sym_operator(self, name, t))
 
     def layout(self, kinds: tuple) -> "_Layout":
-        """The slot layout of a Config whose groups have these kinds,
+        """The value layout of a Config whose groups have these kinds,
         memoized under ``("layout", kinds)`` with its segment tables."""
         key = ("layout", kinds)
         if key not in self.memo:
@@ -430,25 +426,32 @@ class SymbolicSet:
     """Per-node pattern cardinalities abstracting a subset of a realization."""
 
     space: SkeletonSpace
-    counts: tuple  # per node: tuple of (pattern mask, card) sorted by pattern
+    counts: tuple  # per node: tuple of (pattern mask, nonzero card), patterns increasing
 
     def __post_init__(self):
-        if len(self.counts) != len(self.space.nodes):
+        """Checks that the counts are in canonical form, in one pass: per
+        node, patterns strictly increasing and in range, each card valid and
+        nonzero, INF on an omega node, and a finite node's cards summing to
+        its card."""
+        counts = tuple(map(tuple, self.counts))
+        if len(counts) != len(self.space.nodes):
             raise SkeletonError("counts must cover every node")
-        norm = []
-        for nd, pairs in zip(self.space.nodes, self.counts):
-            merged = {}
+        for nd, pairs in zip(self.space.nodes, counts):
+            last = -1
             for pat, card in pairs:
-                if pat & ~nd.full_pattern:
-                    raise SkeletonError(f"pattern out of range on node {nd.name}")
+                if not last < pat <= nd.full_pattern:
+                    raise SkeletonError(f"node {nd.name}: patterns must increase "
+                                        "within the block")
                 _check_count(nd, card)
-                merged[pat] = _card_add(merged.get(pat, 0), card)
-            if nd.is_omega and INF not in merged.values():
-                raise SkeletonError(f"omega node {nd.name}: counts must include INF")
-            if not nd.is_omega and sum(merged.values()) != nd.card:
+                if card == 0:
+                    raise SkeletonError(f"node {nd.name}: zero count on pattern {pat}")
+                last = pat
+            if nd.is_omega:
+                if all(card != INF for _pat, card in pairs):
+                    raise SkeletonError(f"omega node {nd.name}: counts must include INF")
+            elif sum(card for _pat, card in pairs) != nd.card:
                 raise SkeletonError(f"node {nd.name}: counts must sum to {nd.card}")
-            norm.append(tuple(sorted((p, c) for p, c in merged.items() if c != 0)))
-        object.__setattr__(self, "counts", tuple(norm))
+        object.__setattr__(self, "counts", counts)
 
     @staticmethod
     def from_names(space: SkeletonSpace, spec: dict) -> "SymbolicSet":
@@ -480,23 +483,19 @@ class SymbolicSet:
                     raise SkeletonError(f"node {nd.name}: too many copies")
                 if nd.card - used:
                     pairs[0] = _card_add(pairs.get(0, 0), nd.card - used)
-            counts.append(tuple(sorted(pairs.items())))
+            counts.append(tuple(sorted((p, c) for p, c in pairs.items() if c != 0)))
         return SymbolicSet(space, tuple(counts))
 
     def is_empty(self) -> bool:
-        return all(
-            pat == 0 or card == 0 for pairs in self.counts for pat, card in pairs
-        )
+        return all(pat == 0 for pairs in self.counts for pat, _card in pairs)
 
     def is_full(self) -> bool:
-        return all(
-            pat == nd.full_pattern or card == 0
-            for nd, pairs in zip(self.space.nodes, self.counts)
-            for pat, card in pairs
-        )
+        return all(pat == nd.full_pattern
+                   for nd, pairs in zip(self.space.nodes, self.counts)
+                   for pat, _card in pairs)
 
     def touches(self, i: int, e: int) -> bool:
-        return any(pat >> e & 1 and card != 0 for pat, card in self.counts[i])
+        return any(pat >> e & 1 for pat, _card in self.counts[i])
 
     def trace_card(self, i: int, e: int):
         """Total count of copies of node i whose pattern contains element e."""
@@ -544,10 +543,6 @@ class SymbolicSet:
         return "; ".join(parts)
 
 
-def empty_set(space: SkeletonSpace) -> SymbolicSet:
-    return SymbolicSet.from_names(space, {})
-
-
 def full_set(space: SkeletonSpace) -> SymbolicSet:
     spec = {}
     for nd in space.nodes:
@@ -557,14 +552,15 @@ def full_set(space: SkeletonSpace) -> SymbolicSet:
 
 # -- the aligned-group engine -------------------------------------------------
 #
-# A Config tracks several subsets of one realization with known per-copy
-# alignment.  The copies of each node fall into groups: a card of copies
-# that agree on every tracked set.  A tracked set is a slot, one int with a
-# field of ``size`` bits per group holding the group's pattern, laid out by
-# the skeleton's ``_Layout`` for the kinds of the config's groups.  Operators
-# append new slots, so derived sets stay aligned with their sources; a
-# complement, union or intersection of tracked sets is one int operation,
-# and a closure one table entry per node.
+# A Config is a frame for several subsets of one realization with known
+# per-copy alignment.  The copies of each node fall into groups: a card of
+# copies that agree on every tracked set.  A tracked set is a value, one int
+# with a field of ``size`` bits per group holding the group's pattern, laid
+# out by the skeleton's ``_Layout`` for the kinds of the frame's groups.
+# Operators take values and return values, all in one frame, so derived sets
+# stay aligned with their sources.  Union, intersection and difference are
+# ``|``, ``&`` and ``& ~``, a complement is ``v ^ cfg.full``, and a closure
+# is one table entry per node.
 
 _SURE, _UNSURE, _EMPTY = "sure", "unsure", "empty"  # the kinds of group
 
@@ -576,8 +572,8 @@ def _group_kind(card) -> str:
 
 
 class _Layout:
-    """Where the groups of a Config lie in its slots, for one shape of group
-    kinds (per node, the kind of each group), memoized on the skeleton
+    """Where the groups of a Config lie in its values, for one shape of
+    group kinds (per node, the kind of each group), memoized on the skeleton
     (``SkeletonSpace.layout``).
 
     Group g of node i is the field of ``size_i`` bits at ``offsets[i][g]``.
@@ -640,10 +636,10 @@ class _Layout:
 
 class _Segments(dict):
     """The closure's table for node j of a layout, filled on first use: for
-    each value of node j's segment of a slot, the same-copy closure of each
+    each value of node j's segment of a value, the same-copy closure of each
     of its groups in place, ORed with the cross-copy masks that its sure
     groups put on every group of every node i (``uniform_i * reps[i]``).
-    The closure of a slot is the OR of one entry per node."""
+    The closure of a value is the OR of one entry per node."""
 
     __slots__ = ("layout", "j", "tables")
 
@@ -669,102 +665,39 @@ class _Segments(dict):
 
 def _segments_or(value: int, segments) -> int:
     """The OR of the entries of ``segments`` (a ``_Layout``'s segment
-    tables) for the node segments of a slot value."""
+    tables) for the node segments of a value."""
     out = 0
     for start, span, table in segments:
         out |= table[value >> start & span]
     return out
 
 
-class _Patterns(Sequence):
-    """One group's pattern in each slot of a Config, read from the packed
-    slots on demand: the pattern lists of the decoded view
-    ``Config.groups``, which compare equal to plain lists."""
-
-    def __init__(self, values: list, off: int, full: int):
-        self.values, self.off, self.full = values, off, full
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, slot: int) -> int:
-        return self.values[slot] >> self.off & self.full
-
-    def __eq__(self, other) -> bool:
-        return list(self) == other
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
 class Config:
-    """Aligned subsets of one realization (slots), packed by a ``_Layout``."""
+    """A frame for aligned subsets of one realization: the skeleton, the
+    card of each group of copies, their ``_Layout`` and the marked group.
+    A subset is a value packed by the layout; the operators take values and
+    return values."""
 
-    def __init__(self, space: SkeletonSpace, groups, slots: int = 1):
-        """``groups`` per node: a list of [card, patterns, marked], with a
-        pattern for each of the first ``slots`` slots; at most one group is
-        marked (``_marked_config``)."""
-        self.space = space
-        self.cards = tuple(tuple(g[0] for g in node_groups) for node_groups in groups)
+    def __init__(self, space: SkeletonSpace, cards: tuple, marked=None):
+        """``cards`` per node: the card of each group; ``marked``: the
+        (node, group) of the marked copy, if any (``_marked_config``)."""
+        self.space, self.cards = space, cards
         self.layout = space.layout(
-            tuple(tuple(map(_group_kind, cards)) for cards in self.cards))
+            tuple(tuple(map(_group_kind, node_cards)) for node_cards in cards))
+        self.full = self.layout.full
         self.marked = None  # (node, offset) of the marked group
-        for i, (node_groups, offsets) in enumerate(zip(groups, self.layout.offsets)):
-            for g, off in zip(node_groups, offsets):
-                if g[2]:
-                    self.marked = (i, off)
-        self.values = []
-        for s in range(slots):
-            self.append_patterns([[g[1][s] for g in node_groups] for node_groups in groups])
+        if marked is not None:
+            node, group = marked
+            self.marked = (node, self.layout.offsets[node][group])
 
     @staticmethod
-    def of(space: SkeletonSpace, a: SymbolicSet) -> "Config":
-        """One slot holding ``a``, one group per pattern; every card of a
-        symbolic set is nonzero and definite, so every group is sure."""
+    def of(space: SkeletonSpace, a: SymbolicSet) -> tuple["Config", int]:
+        """The frame of ``a``, one group per pattern, and the value of ``a``
+        in it; every card of a symbolic set is nonzero and definite, so
+        every group is sure."""
         if a.space is not space and a.space != space:
             raise SkeletonError("set does not fit the skeleton")
-        cfg = Config.__new__(Config)
-        cfg.space, cfg.marked = space, None
-        cfg.cards = tuple([tuple([card for _pat, card in pairs]) for pairs in a.counts])
-        cfg.layout = space.layout(tuple([(_SURE,) * len(pairs) for pairs in a.counts]))
-        value = 0
-        for pairs, offsets in zip(a.counts, cfg.layout.offsets):
-            for (pat, _card), off in zip(pairs, offsets):
-                value |= pat << off
-        cfg.values = [value]
-        return cfg
-
-    @cached_property
-    def groups(self) -> tuple:
-        """The decoded view: per node, (card, patterns per slot, marked) for
-        each group, the patterns read from the slots on demand
-        (``_Patterns``)."""
-        return tuple(tuple((card, _Patterns(self.values, off, nd.full_pattern),
-                            self.marked == (i, off))
-                           for card, off in zip(cards, offsets))
-                     for i, (nd, cards, offsets) in enumerate(
-                         zip(self.space.nodes, self.cards, self.layout.offsets)))
-
-    # -- slot bookkeeping --
-
-    @property
-    def slots(self) -> int:
-        return len(self.values)
-
-    def _push(self, value: int) -> int:
-        self.values.append(value)
-        return len(self.values) - 1
-
-    def append_patterns(self, per_group_patterns) -> int:
-        value = 0
-        for pats, offsets in zip(per_group_patterns, self.layout.offsets):
-            for p, off in zip(pats, offsets):
-                value |= p << off
-        return self._push(value)
-
-    def truncate(self, slots: int) -> None:
-        """Drop every slot from ``slots`` on, for the search's next trial."""
-        del self.values[slots:]
+        return _framed(space, a.counts)
 
     # -- the marked copy --
 
@@ -773,81 +706,66 @@ class Config:
             raise SkeletonError("no marked group")
         return self.marked[1]
 
-    def marked_pattern(self, node: int, slot: int) -> int:
-        """The pattern of ``slot`` on the marked copy, a copy of ``node``."""
-        return self.values[slot] >> self._marked_offset(node) & self.space.nodes[node].full_pattern
+    def marked_pattern(self, node: int, value: int) -> int:
+        """The pattern of ``value`` on the marked copy, a copy of ``node``."""
+        return value >> self._marked_offset(node) & self.space.nodes[node].full_pattern
 
     def op_marked(self, node: int, pattern: int) -> int:
-        """New slot holding ``pattern`` on the marked copy, a copy of
-        ``node``, and nothing elsewhere."""
-        return self._push(pattern << self._marked_offset(node))
+        """``pattern`` on the marked copy, a copy of ``node``, and nothing
+        elsewhere."""
+        return pattern << self._marked_offset(node)
 
-    # -- primitive ops (each appends its result as a new slot) --
+    # -- operators --
 
-    def op_not(self, slot: int) -> int:
-        return self._push(self.values[slot] ^ self.layout.full)
-
-    def op_or(self, s1: int, s2: int) -> int:
-        return self._push(self.values[s1] | self.values[s2])
-
-    def op_and(self, s1: int, s2: int) -> int:
-        return self._push(self.values[s1] & self.values[s2])
-
-    def op_diff(self, s1: int, s2: int) -> int:
-        return self._push(self.values[s1] & ~self.values[s2])
-
-    def _op_downclose(self, slot: int, tables: str) -> int:
+    def _op_downclose(self, value: int, tables: str) -> int:
         """Down-closure through the layout's segment tables ``tables``
         (``_Layout.down_segments`` or ``down_segments_s``), or up-closure
         through ``up_segments``: the OR, over nodes, of the entry
-        (``_Segments``) for that node's segment of the slot.  When some
+        (``_Segments``) for that node's segment of the value.  When some
         group is indeterminate, the cross-copy masks its copies would add
-        must already lie in every group's result: the closure of the slot
+        must already lie in every group's result: the closure of the value
         in ``_Layout.unsure_only`` (the same same-copy closures, plus those
-        masks) adds nothing to it.  The test runs before the slot is
-        appended."""
-        value, layout = self.values[slot], self.layout
+        masks) adds nothing to it."""
+        layout = self.layout
         out = _segments_or(value, getattr(layout, tables))
         if layout.unsure and _segments_or(value, getattr(layout.unsure_only, tables)) & ~out:
             raise SymbolicAmbiguity("closure depends on an indeterminate copy count")
-        return self._push(out)
+        return out
 
-    def op_cl(self, slot: int) -> int:
-        return self._op_downclose(slot, "down_segments")
+    def op_cl(self, value: int) -> int:
+        return self._op_downclose(value, "down_segments")
 
-    def op_cl_delta(self, slot: int) -> int:
-        return self._op_downclose(slot, "down_segments_s")
+    def op_cl_delta(self, value: int) -> int:
+        return self._op_downclose(value, "down_segments_s")
 
-    def op_up(self, slot: int) -> int:
-        return self._op_downclose(slot, "up_segments")
+    def op_up(self, value: int) -> int:
+        return self._op_downclose(value, "up_segments")
 
     def op_const(self, patterns) -> int:
-        """New slot holding ``patterns[i]`` on every copy of node i."""
-        return self._push(sum(p * rep for p, rep in zip(patterns, self.layout.reps)))
+        """``patterns[i]`` on every copy of node i."""
+        return sum(p * rep for p, rep in zip(patterns, self.layout.reps))
 
-    def op_int(self, slot: int) -> int:
-        return self.op_not(self.op_cl(self.op_not(slot)))
+    def op_int(self, value: int) -> int:
+        return self.op_cl(value ^ self.full) ^ self.full
 
-    def op_pcl(self, slot: int) -> int:
-        return self.op_or(slot, self.op_cl(self.op_int(slot)))
+    def op_pcl(self, value: int) -> int:
+        return value | self.op_cl(self.op_int(value))
 
-    def op_scl(self, slot: int) -> int:
-        return self.op_or(slot, self.op_int(self.op_cl(slot)))
+    def op_scl(self, value: int) -> int:
+        return value | self.op_int(self.op_cl(value))
 
-    def op_consolidation(self, slot: int) -> int:
-        return self.op_int(self.op_cl(slot))
+    def op_consolidation(self, value: int) -> int:
+        return self.op_int(self.op_cl(value))
 
-    def op_pcl_theta(self, slot: int) -> int:
+    def op_pcl_theta(self, value: int) -> int:
         """pcl_theta(a) = a | cl((Top & int a) | (S & up a)), the identity of
         ``FiniteSpace.pre_theta_closure``, on the class-uniform Top and S of
         ``SkeletonSpace.top_patterns``."""
         top, single = (self.op_const(pats) for pats in self.space.top_patterns)
-        inner = self.op_and(top, self.op_int(slot))
-        upper = self.op_and(single, self.op_up(slot))
-        return self.op_or(slot, self.op_cl(self.op_or(inner, upper)))
+        return value | self.op_cl((top & self.op_int(value)) | (single & self.op_up(value)))
 
-    def op_pint(self, slot: int, delta: bool = False) -> int:
-        """The largest preopen subset of S = ``slot``, S & int cl S, or with
+    def op_pint(self, value: int, delta: bool = False) -> int:
+        """The largest preopen subset of S = ``value``, S & int cl S, or with
         ``delta`` the largest delta-preopen one, S & int cl_delta S.
 
         Let U be int cl S (int cl_delta S) and P = S & U.  A point y of U
@@ -860,23 +778,23 @@ class Config:
         (int cl_delta P), and P is (delta-)preopen.  A (delta-)preopen Q
         inside S lies in int cl Q (int cl_delta Q), inside U, so in P.
         ``FiniteSpace.delta_preclosure`` takes the same closed form."""
-        grown = self.op_cl_delta(slot) if delta else self.op_cl(slot)
-        return self.op_and(slot, self.op_int(grown))
+        grown = self.op_cl_delta(value) if delta else self.op_cl(value)
+        return value & self.op_int(grown)
 
-    # -- slot predicates --
+    # -- predicates --
 
-    def slot_subset(self, s1: int, s2: int) -> bool:
+    def subset(self, v1: int, v2: int) -> bool:
         """A sure group outside decides False before an indeterminate one
         raises."""
-        outside = self.values[s1] & ~self.values[s2]
+        outside = v1 & ~v2
         if outside & self.layout.sure:
             return False
         if outside & self.layout.unsure:
             raise SymbolicAmbiguity("subset test on indeterminate count")
         return True
 
-    def slot_equal(self, s1: int, s2: int) -> bool:
-        return self.slot_subset(s1, s2) and self.slot_subset(s2, s1)
+    def equal(self, v1: int, v2: int) -> bool:
+        return self.subset(v1, v2) and self.subset(v2, v1)
 
     def _untouched(self, value: int, what: str) -> bool:
         """No group with copies has a bit of ``value``; the first group in
@@ -887,63 +805,73 @@ class Config:
             raise SymbolicAmbiguity(what)
         return not hit
 
-    def slot_empty(self, slot: int) -> bool:
-        return self._untouched(self.values[slot], "emptiness on indeterminate count")
+    def is_empty(self, value: int) -> bool:
+        return self._untouched(value, "emptiness on indeterminate count")
 
-    def slot_full(self, slot: int) -> bool:
-        return self._untouched(self.values[slot] ^ self.layout.full,
-                               "fullness on indeterminate count")
+    def is_full(self, value: int) -> bool:
+        return self._untouched(value ^ self.full, "fullness on indeterminate count")
 
-    def to_set(self, slot: int) -> SymbolicSet:
-        value = self.values[slot]
+    def to_set(self, value: int) -> SymbolicSet:
+        """The symbolic set of ``value``, in canonical form: groups with no
+        copies drop out, and equal patterns merge."""
         counts = []
         for nd, cards, offsets in zip(self.space.nodes, self.cards, self.layout.offsets):
             merged, full = {}, nd.full_pattern
             for card, off in zip(cards, offsets):
                 if card == _FIN0:
                     raise SymbolicAmbiguity("projecting an indeterminate count")
-                pat = value >> off & full
-                merged[pat] = _card_add(merged.get(pat, 0), card)
+                if card:
+                    pat = value >> off & full
+                    merged[pat] = _card_add(merged.get(pat, 0), card)
             if nd.is_omega and INF not in merged.values():
                 raise SymbolicAmbiguity("omega node lost its INF class")
             counts.append(tuple(sorted(merged.items())))
-        return SymbolicSet(self.space, counts)
+        return SymbolicSet(self.space, tuple(counts))
+
+
+def _framed(space: SkeletonSpace, counts, marked=None) -> tuple[Config, int]:
+    """The frame with one group per (pattern, card) pair of ``counts`` (per
+    node), and the value that holds each group's pattern."""
+    cfg = Config(space, tuple(tuple(card for _pat, card in pairs) for pairs in counts),
+                 marked)
+    value = 0
+    for pairs, offsets in zip(counts, cfg.layout.offsets):
+        for (pat, _card), off in zip(pairs, offsets):
+            value |= pat << off
+    return cfg, value
 
 
 # -- marked (generic point) machinery -----------------------------------------
 
 
-def _marked_config(space, a: SymbolicSet, node: int, group_pat: int, elem: int):
-    """Config of [a] with one copy of the given group split off and marked.
+def _marked_config(space, a: SymbolicSet, node: int, group_pat: int) -> tuple[Config, int]:
+    """The frame of ``a`` with one copy of its ``group_pat`` group on
+    ``node`` split off as the marked group, and the value of ``a`` in it.
 
-    Slot 0 tracks ``a``; the distinguished copy is the group flagged
-    ``marked``.  Marked configurations never place the ambiguous FIN count
-    on the marked copy itself, which keeps generic-point decisions definite.
+    Marked frames never place the ambiguous FIN count on the marked copy
+    itself, which keeps generic-point decisions definite: a FIN group leaves
+    a rest of ``_FIN0`` copies.
     """
     if a.space is not space and a.space != space:
         raise SkeletonError("set does not fit the skeleton")
-    groups = [[[card, [pat], False] for pat, card in pairs] for pairs in a.counts]
-    for g in groups[node]:
-        if g[1][0] == group_pat and g[0] != 0:
-            card = g[0]
-            g[0] = INF if card == INF else _FIN0 if card == FIN else card - 1
-            groups[node].append([1, [group_pat], True])
-            return Config(space, groups)
+    counts = list(a.counts)
+    pairs = counts[node]
+    for g, (pat, card) in enumerate(pairs):
+        if pat == group_pat:
+            rest = INF if card == INF else _FIN0 if card == FIN else card - 1
+            counts[node] = pairs[:g] + ((pat, rest),) + pairs[g + 1:] + ((pat, 1),)
+            return _framed(space, counts, marked=(node, len(pairs)))
     raise SkeletonError("marked group not found")
 
 
-def _marked_pattern(cfg: Config, node: int, slot: int) -> int:
-    return cfg.marked_pattern(node, slot)
-
-
 def sym_complement(space, a: SymbolicSet) -> SymbolicSet:
-    cfg = Config.of(space, a)
-    return cfg.to_set(cfg.op_not(0))
+    cfg, value = Config.of(space, a)
+    return cfg.to_set(value ^ cfg.full)
 
 
 def sym_pre_theta_closure(space, a: SymbolicSet) -> SymbolicSet:
-    cfg = Config.of(space, a)
-    return cfg.to_set(cfg.op_pcl_theta(0))
+    cfg, value = Config.of(space, a)
+    return cfg.to_set(cfg.op_pcl_theta(value))
 
 
 _OPS = {
@@ -954,7 +882,7 @@ _OPS = {
     "consolidation": Config.op_consolidation,
     "delta-cl": Config.op_cl_delta,
     "pint": Config.op_pint,
-    "delta-pcl": lambda cfg, s: cfg.op_not(cfg.op_pint(cfg.op_not(s), delta=True)),
+    "delta-pcl": lambda cfg, v: cfg.op_pint(v ^ cfg.full, delta=True) ^ cfg.full,
 }
 
 
@@ -965,58 +893,54 @@ def sym_operator(space: SkeletonSpace, op: str, a: SymbolicSet) -> SymbolicSet:
         return sym_pre_theta_closure(space, a)
     if op not in _OPS:
         raise SkeletonError(f"unknown operator {op!r}")
-    cfg = Config.of(space, a)
-    return cfg.to_set(_OPS[op](cfg, 0))
+    cfg, value = Config.of(space, a)
+    return cfg.to_set(_OPS[op](cfg, value))
 
 
 def sym_classify(space: SkeletonSpace, a: SymbolicSet) -> ClassFlags:
     """All set-class flags of a symbolic set, computed symbolically."""
-    cfg = Config.of(space, a)
-    s_a = 0
-    s_cl = cfg.op_cl(s_a)
-    s_int = cfg.op_int(s_a)
-    s_intcl = cfg.op_int(s_cl)
-    s_clint = cfg.op_cl(s_int)
-    s_cld = cfg.op_cl_delta(s_a)
-    s_intcld = cfg.op_int(s_cld)
-    comp = cfg.op_not(s_a)
-    s_cld_c = cfg.op_cl_delta(comp)
-    preopen = cfg.slot_subset(s_a, s_intcl)
-    preclosed = cfg.slot_subset(s_clint, s_a)
-    semi_open = cfg.slot_subset(s_a, s_clint)
-    semi_closed = cfg.slot_subset(s_intcl, s_a)
+    cfg, v = Config.of(space, a)
+    cl = cfg.op_cl(v)
+    interior = cfg.op_int(v)
+    intcl = cfg.op_int(cl)
+    clint = cfg.op_cl(interior)
+    comp = v ^ cfg.full
+    preopen = cfg.subset(v, intcl)
+    preclosed = cfg.subset(clint, v)
+    semi_open = cfg.subset(v, clint)
+    semi_closed = cfg.subset(intcl, v)
     # locally closed: cl(a) - a is closed
-    s_rim = cfg.op_diff(s_cl, s_a)
-    locally_closed = cfg.slot_equal(cfg.op_cl(s_rim), s_rim)
-    delta_preopen = cfg.slot_subset(s_a, s_intcld)
-    delta_preclosed = cfg.slot_subset(comp, cfg.op_int(s_cld_c))
+    rim = cl & ~v
+    locally_closed = cfg.equal(cfg.op_cl(rim), rim)
+    delta_preopen = cfg.subset(v, cfg.op_int(cfg.op_cl_delta(v)))
+    delta_preclosed = cfg.subset(comp, cfg.op_int(cfg.op_cl_delta(comp)))
     pth = space.operator("pcl-theta", a)
     comp_set = cfg.to_set(comp)
     pth_c = space.operator("pcl-theta", comp_set)
     return ClassFlags(
-        open=cfg.slot_equal(s_a, s_int),
-        closed=cfg.slot_equal(s_a, s_cl),
-        regular_open=cfg.slot_equal(s_a, s_intcl),
-        regular_closed=cfg.slot_equal(s_a, s_clint),
+        open=cfg.equal(v, interior),
+        closed=cfg.equal(v, cl),
+        regular_open=cfg.equal(v, intcl),
+        regular_closed=cfg.equal(v, clint),
         preopen=preopen,
         preclosed=preclosed,
         semi_open=semi_open,
         semi_closed=semi_closed,
         semi_regular=semi_open and semi_closed,
-        alpha_open=cfg.slot_subset(s_a, cfg.op_int(s_clint)),
+        alpha_open=cfg.subset(v, cfg.op_int(clint)),
         delta_preopen=delta_preopen,
         delta_preclosed=delta_preclosed,
         preregular=preopen and preclosed,
         pre_theta_open=pth_c == comp_set,
         pre_theta_closed=pth == a,
-        dense=cfg.slot_full(s_cl),
-        nowhere_dense=cfg.slot_empty(s_intcl),
+        dense=cfg.is_full(cl),
+        nowhere_dense=cfg.is_empty(intcl),
         locally_closed=locally_closed,
         locally_dense=preopen,
     )
 
 
-# -- expansion, abstraction, skeletonization ----------------------------------
+# -- expansion and skeletonization ---------------------------------------------
 
 
 def expand(space: SkeletonSpace) -> tuple[FiniteSpace, tuple]:
@@ -1033,22 +957,6 @@ def expand(space: SkeletonSpace) -> tuple[FiniteSpace, tuple]:
         raise SkeletonOverflow("expansion too large")
     rows = space._up_rows(space._shifts(cards), space.up_masks)
     return FiniteSpace.from_rows(len(labels), rows), tuple(labels)
-
-
-def abstract(space: SkeletonSpace, labels, mask: int) -> SymbolicSet:
-    """Abstract a concrete subset of expand(space) back to pattern counts."""
-    per_copy = {}
-    for idx, (i, c, e) in enumerate(labels):
-        if mask >> idx & 1:
-            per_copy[i, c] = per_copy.get((i, c), 0) | (1 << e)
-    counts = []
-    for i, nd in enumerate(space.nodes):
-        merged = {}
-        for c in range(nd.card):
-            pat = per_copy.get((i, c), 0)
-            merged[pat] = merged.get(pat, 0) + 1
-        counts.append(tuple(sorted(merged.items())))
-    return SymbolicSet(space, counts)
 
 
 def skeletonize(space: FiniteSpace) -> tuple[SkeletonSpace, tuple]:
@@ -1240,7 +1148,7 @@ def restrict(space: SkeletonSpace, a: SymbolicSet, fin_as: int = 2) -> SkeletonS
     origin = []  # (parent node, pattern, elem map: new elem -> parent elem)
     for i, nd in enumerate(space.nodes):
         for pat, card in a.counts[i]:
-            if pat == 0 or card == 0:
+            if pat == 0:
                 continue
             elems = tuple(bits(pat))
             rows = []
@@ -1271,7 +1179,8 @@ def restrict(space: SkeletonSpace, a: SymbolicSet, fin_as: int = 2) -> SkeletonS
 
 
 def finite_probe(space: SkeletonSpace, omega_size: int = 6) -> SkeletonSpace:
-    """The skeleton with every omega node truncated to a finite class."""
+    """The skeleton with every omega node replaced by a finite class of
+    ``omega_size`` copies."""
     nodes = tuple(
         Node(nd.name, omega_size if nd.is_omega else nd.card, nd.mode, nd.block)
         for nd in space.nodes
@@ -1503,9 +1412,6 @@ class CatalogEntry:
     space: object  # FiniteSpace | SkeletonSpace
     expected: tuple  # of (property key, bool, provenance)
     note: str = ""
-
-    def expected_dict(self):
-        return {k: (v, prov) for k, v, prov in self.expected}
 
 
 @cache  # one object for every catalog use, so one memo

@@ -38,7 +38,6 @@ from topolab.properties import (
     check_cover_relative,
     check_simple,
     classified_templates,
-    diagram_edges,
     flagged,
 )
 from topolab.skeleton import (
@@ -1346,17 +1345,3 @@ def search_counterexample(target, universe: Universe) -> dict:
         "checked": checked,
         "skipped_unknown": skipped,
     }
-
-
-def reversal_report(universe: Universe) -> dict:
-    """Reversal witnesses for every diagram edge, with not-attempted notes."""
-    out = {}
-    for p, q in diagram_edges():
-        res = search_counterexample((p, q), universe)
-        out[f"{p}=>{q}"] = res
-        if res["witness"] is None:
-            res["note"] = (
-                "no witness in this universe; known witnesses need spaces "
-                "outside the finitely-presented fragment"
-            )
-    return out

@@ -27,7 +27,6 @@ from topolab.properties import (
     classified_templates,
 )
 from topolab.skeleton import (
-    abstract,
     catalog,
     expand,
     random_finite_skeleton,
@@ -39,11 +38,12 @@ from topolab.verify import (
     Universe,
     all_topologies,
     replay,
-    reversal_report,
     run_claim,
     topologies_by_family_scan,
     topologies_by_preorder,
 )
+
+from oracles import abstract, reversal_report, semi_regular_sandwich, semiopen_masks
 
 
 def _line(tag, ok, detail=""):
@@ -235,7 +235,7 @@ def test_criterion_5_preopen_union_closed():
     ok = True
     for n in (1, 2, 3, 4):
         for sp in all_topologies(n):
-            po = sp.preopen_family()
+            po = sp.preopen_masks
             po_set = set(po)
             whole = 0
             for i, a in enumerate(po):
@@ -282,7 +282,7 @@ def test_criterion_5_strongly_irresolvable_characterization():
     for n in (1, 2, 3, 4):
         for sp in all_topologies(n):
             po = set(sp.preopen_masks)
-            so = set(sp.semiopen_masks)
+            so = set(semiopen_masks(sp))
             if check_simple(sp, "strongly-irresolvable") != (po <= so):
                 ok = False
     assert _line("5 strongly irresolvable", ok,
@@ -290,8 +290,6 @@ def test_criterion_5_strongly_irresolvable_characterization():
 
 
 def test_criterion_5_semi_regular_sandwich():
-    from topolab.core import semi_regular_sandwich
-
     ok = True
     for n in (1, 2, 3, 4):
         for sp in all_topologies(n):

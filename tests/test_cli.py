@@ -5,8 +5,10 @@ import json
 import pytest
 
 from topolab.cli import main
-from topolab.core import format_topo, sierpinski
+from topolab.core import sierpinski
 from topolab.verify import Report
+
+from oracles import format_topo
 
 
 @pytest.fixture

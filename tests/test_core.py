@@ -19,10 +19,10 @@ from topolab.core import (
     parse_topo,
     points_of,
     product,
-    semi_regular_sandwich,
 )
 
 from conftest import all_spaces
+from oracles import format_topo, preopen_at, semi_regular_sandwich
 
 
 def closure_space(n, generators):
@@ -188,7 +188,7 @@ def test_closure_is_smallest_closed_superset():
         for a in range(sp.full + 1):
             expected = sp.full
             for m in range(sp.full + 1):
-                if sp.is_closed(m) and a & ~m == 0:
+                if sp.closure(m) == m and a & ~m == 0:
                     expected &= m
             assert sp.closure(a) == expected
 
@@ -240,7 +240,7 @@ def test_preclosure_laws(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_preopen_family_union_closed(n):
     for sp in all_spaces(n):
-        po = sp.preopen_family()
+        po = sp.preopen_masks
         whole = 0
         for i, a in enumerate(po):
             whole |= a
@@ -425,9 +425,9 @@ def test_alpha_open_equals_difference_form():
 
 
 def test_preopen_family_examples(s2, i2):
-    assert s2.preopen_family() == (0b00, 0b10, 0b11)
-    assert i2.preopen_family() == (0b00, 0b01, 0b10, 0b11)
-    assert s2.preopen_at(0) == (0b11,)
+    assert s2.preopen_masks == (0b00, 0b10, 0b11)
+    assert i2.preopen_masks == (0b00, 0b01, 0b10, 0b11)
+    assert preopen_at(s2, 0) == (0b11,)
 
 
 # -- subspace / product -----------------------------------------------------------
@@ -523,7 +523,7 @@ def test_map_validation(s2, i2):
 
 
 def test_topo_roundtrip(s2):
-    text = core.format_topo(s2)
+    text = format_topo(s2)
     assert parse_topo(text) == s2
 
 

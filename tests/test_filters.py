@@ -14,7 +14,6 @@ from topolab.filters import (
     antichain_filter_bases,
     check_t41,
     check_t43,
-    is_strictly_finer,
     maximal_filter_bases,
     pre_theta_accumulates,
     pre_theta_converges,
@@ -22,6 +21,7 @@ from topolab.filters import (
 )
 
 from conftest import all_spaces
+from oracles import is_strictly_finer, preopen_at
 
 
 def test_filter_base_validation(s2):
@@ -200,7 +200,7 @@ def _accumulates_by_scan(fb, x):
     """Reference accumulation, the definition scanned: every preopen
     neighbourhood of x has a preclosure meeting every member."""
     sp = fb.space
-    return all(sp.preclosure(v) & f for v in sp.preopen_at(x) for f in fb.members)
+    return all(sp.preclosure(v) & f for v in preopen_at(sp, x) for f in fb.members)
 
 
 def _clause_c_by_scan(space):

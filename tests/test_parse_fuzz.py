@@ -8,11 +8,13 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topolab.core import (TopologyError, build_space, discrete, excluded_point,
-                          format_topo, parse_topo, sierpinski)
+from topolab.core import (TopologyError, build_space, discrete, excluded_point, parse_topo,
+                          sierpinski)
 from topolab.skeleton import (SkeletonError, SkeletonSpace, SymbolicSet,
                               all_symbolic_sets, catalog, catalog_names, format_skel,
                               parse_skel)
+
+from oracles import format_topo
 
 TOPO_SEEDS = tuple(format_topo(sp) for sp in (
     sierpinski(), discrete(3), excluded_point(4), build_space(4, [0b0011, 0b0110])))

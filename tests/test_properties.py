@@ -22,13 +22,13 @@ from topolab.skeleton import (
     SkeletonSpace,
     SymbolicSet,
     catalog,
-    empty_set,
     format_skel,
     full_set,
     parse_skel,
 )
 
 from conftest import all_spaces, omega_skeletons
+from oracles import decoded, empty_set, pack, semiopen_masks
 
 
 # -- named scheme instances -----------------------------------------------------
@@ -254,7 +254,7 @@ def test_strongly_irresolvable_iff_preopen_subfamily_of_semiopen():
     for n in (1, 2, 3):
         for sp in all_spaces(n):
             po = set(sp.preopen_masks)
-            so = set(sp.semiopen_masks)
+            so = set(semiopen_masks(sp))
             assert check_simple(sp, "strongly-irresolvable") == (po <= so)
 
 
@@ -683,10 +683,10 @@ def _boundary_has_inf(space, t):
     """Is the boundary cl(t) - int(t) of the set infinite?"""
     from topolab.skeleton import Config
 
-    cfg = Config.of(space, t)
-    diff = cfg.op_diff(cfg.op_cl(0), cfg.op_int(0))
-    return any(pats[diff] and card == INF
-               for node_groups in cfg.groups for card, pats, _m in node_groups)
+    cfg, a = Config.of(space, t)
+    diff = cfg.op_cl(a) & ~cfg.op_int(a)
+    return any(pats[0] and card == INF
+               for node_groups in decoded(cfg, [diff]) for card, pats, _m in node_groups)
 
 
 def _template_simple(space, name):
@@ -829,21 +829,21 @@ def _separating_preopen_by_product(space, f_set, node, group_pat, elem) -> bool:
     on a fresh configuration."""
     import itertools
 
-    from topolab.skeleton import SymbolicAmbiguity, _marked_config, _marked_pattern
+    from topolab.skeleton import SymbolicAmbiguity, _marked_config
 
     for choice in itertools.product(*[range(1 << nd.size) for nd in space.nodes]):
-        cfg = _marked_config(space, f_set, node, group_pat, elem)
-        v = cfg.op_or(0, cfg.op_const(choice))
-        point = cfg.append_patterns([
+        cfg, f_value = _marked_config(space, f_set, node, group_pat)
+        v = f_value | cfg.op_const(choice)
+        point = pack(cfg, [
             [(1 << elem) if (m and i == node) else 0 for _, _, m in node_groups]
-            for i, node_groups in enumerate(cfg.groups)])
-        for vv in (v, cfg.op_diff(v, point)):
-            if not cfg.slot_subset(0, vv):
+            for i, node_groups in enumerate(decoded(cfg, []))])
+        for vv in (v, v & ~point):
+            if not cfg.subset(f_value, vv):
                 continue
             try:
-                if not cfg.slot_subset(vv, cfg.op_int(cfg.op_cl(vv))):
+                if not cfg.subset(vv, cfg.op_int(cfg.op_cl(vv))):
                     continue
-                if _marked_pattern(cfg, node, cfg.op_pcl(vv)) >> elem & 1:
+                if cfg.marked_pattern(node, cfg.op_pcl(vv)) >> elem & 1:
                     continue
             except SymbolicAmbiguity:
                 continue

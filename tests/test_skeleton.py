@@ -22,12 +22,9 @@ from topolab.skeleton import (
     SymbolicSet,
     _card_add,
     _marked_config,
-    _marked_pattern,
-    abstract,
     all_symbolic_sets,
     catalog,
     catalog_names,
-    empty_set,
     expand,
     format_skel,
     full_set,
@@ -44,6 +41,7 @@ from topolab.skeleton import (
 )
 
 from conftest import omega_skeletons
+from oracles import abstract, decoded, empty_set, frame, pack, patterns
 
 OPS_VS_CORE = {
     "int": "interior",
@@ -461,6 +459,27 @@ def test_symbolic_set_validation():
         SymbolicSet(epo, (((0, FIN),), ((0, INF),)))  # FIN on a finite node
 
 
+@pytest.mark.parametrize("counts", [
+    (((0, 1),), ((1, INF), (0, FIN))),  # pairs out of order
+    (((0, 1),), ((0, FIN), (0, INF))),  # a repeated pattern
+    (((0, 1), (1, 0)), ((0, INF),)),  # a zero card
+    (((0, 1),), ((0, INF), (1, 0))),  # a zero card on an omega node
+    (((0, 1),), ((0, INF), (2, FIN))),  # a pattern outside the block
+])
+def test_symbolic_set_takes_only_canonical_counts(counts):
+    # one form per set: the memo keys on counts, and equal sets must compare equal
+    with pytest.raises(SkeletonError):
+        SymbolicSet(catalog("excluded-point-omega").space, counts)
+
+
+def test_symbolic_set_readers_write_canonical_counts():
+    epo = catalog("excluded-point-omega").space
+    t = SymbolicSet.from_names(epo, {"p": {(0,): 1, (): 0}, "t": {(0,): INF, (): 0}})
+    assert t.counts == (((1, 1),), ((1, INF),))
+    cfg, a = _marked_config(epo, t, 0, 1)  # leaves a group with no copies on p
+    assert cfg.to_set(a) == t and cfg.to_set(a).counts == t.counts
+
+
 def test_empty_and_full_sets():
     epo = catalog("excluded-point-omega").space
     assert empty_set(epo).is_empty()
@@ -615,12 +634,11 @@ def _card_nonzero(c):
     return True
 
 
-def _touch_info(cfg, slot):
+def _touch_info(cfg, value):
     definite = set()
     maybe = set()
-    for i, node_groups in enumerate(cfg.groups):
-        for card, pats, _marked in node_groups:
-            pat = pats[slot]
+    for i, node_groups in enumerate(decoded(cfg, [value])):
+        for card, (pat,), _marked in node_groups:
             if not pat:
                 continue
             nz = _card_nonzero(card)
@@ -633,23 +651,23 @@ def _touch_info(cfg, slot):
     return definite, maybe - definite
 
 
-def _reference_downclose(cfg, slot, down_same, down_cross):
-    """Per-node patterns of the down-closure of ``slot``, one dict lookup
+def _reference_downclose(cfg, value, down_same, down_cross):
+    """Per-node patterns of the down-closure of ``value``, one dict lookup
     per touched (node, element): the oracle for the pattern tables."""
-    definite, maybe = _touch_info(cfg, slot)
-    uniform = [0] * len(cfg.groups)
-    for i in range(len(cfg.groups)):
+    definite, maybe = _touch_info(cfg, value)
+    nodes = range(len(cfg.space.nodes))
+    uniform = [0] * len(nodes)
+    for i in nodes:
         for j, f in definite:
             uniform[i] |= down_cross.get((i, (j, f)), 0)
-    maybe_uniform = [0] * len(cfg.groups)
-    for i in range(len(cfg.groups)):
+    maybe_uniform = [0] * len(nodes)
+    for i in nodes:
         for j, f in maybe:
             maybe_uniform[i] |= down_cross.get((i, (j, f)), 0)
     out = []
-    for i, node_groups in enumerate(cfg.groups):
+    for i, node_pats in enumerate(patterns(cfg, value)):
         pats = []
-        for card, gpats, _marked in node_groups:
-            pat = gpats[slot]
+        for pat in node_pats:
             new = uniform[i]
             for e in bits(pat):
                 new |= down_same[i, e]
@@ -660,23 +678,22 @@ def _reference_downclose(cfg, slot, down_same, down_cross):
     return out
 
 
-def _check_downclose(cfg, slot, outcomes):
-    """cl, delta-cl and the up-closure of ``slot`` agree with the reference,
-    patterns and ambiguity both; ``outcomes`` counts closures and
-    ambiguities."""
+def _check_downclose(cfg, value, outcomes):
+    """cl, delta-cl and the up-closure of ``value`` agree with the
+    reference, patterns and ambiguity both; ``outcomes`` counts closures
+    and ambiguities."""
     for op, masks in (("op_cl", cfg.space.down_masks),
                       ("op_cl_delta", cfg.space.down_masks_s),
                       ("op_up", cfg.space.up_masks)):
         try:
-            want = _reference_downclose(cfg, slot, *masks)
+            want = _reference_downclose(cfg, value, *masks)
         except SymbolicAmbiguity:
             want = "ambiguous"
         try:
-            new = getattr(cfg, op)(slot)
-            got = [[g[1][new] for g in node_groups] for node_groups in cfg.groups]
+            got = patterns(cfg, getattr(cfg, op)(value))
         except SymbolicAmbiguity:
             got = "ambiguous"
-        assert got == want, (str(cfg.space), op, cfg.groups, slot)
+        assert got == want, (str(cfg.space), op, decoded(cfg, [value]))
         outcomes[got == "ambiguous"] += 1
 
 
@@ -689,36 +706,31 @@ def test_downclose_tables_match_the_reference_on_every_template():
     outcomes = Counter()
     for sk in _kernel_spaces():
         for t in all_symbolic_sets(sk):
-            cfg = Config.of(sk, t)
-            _check_downclose(cfg, 0, outcomes)
-            _check_downclose(cfg, cfg.op_not(0), outcomes)
+            cfg, a = Config.of(sk, t)
+            _check_downclose(cfg, a, outcomes)
+            _check_downclose(cfg, a ^ cfg.full, outcomes)
     assert outcomes[False] > 1000 and not outcomes[True]
 
 
-def _marked_point_slot(cfg: Config, node: int, elem: int) -> int:
-    """New slot holding exactly the marked point {x}."""
-    out = []
-    for i, node_groups in enumerate(cfg.groups):
-        pats = []
-        for card, gpats, marked in node_groups:
-            pats.append((1 << elem) if (marked and i == node) else 0)
-        out.append(pats)
-    return cfg.append_patterns(out)
+def _marked_point(cfg: Config, node: int, elem: int) -> int:
+    """The value holding exactly the marked point {x}."""
+    return pack(cfg, [[(1 << elem) if (marked and i == node) else 0
+                       for _card, _pats, marked in node_groups]
+                      for i, node_groups in enumerate(decoded(cfg, []))])
 
 
-def _marked_up_slot(cfg: Config, node: int, elem: int) -> int:
-    """New slot holding up(x) for the marked point x."""
+def _marked_up(cfg: Config, node: int, elem: int) -> int:
+    """The value holding up(x) for the marked point x."""
     up_same, up_cross = cfg.space.up_masks
-    out = []
-    for i, node_groups in enumerate(cfg.groups):
-        pats = []
-        for card, gpats, marked in node_groups:
-            if marked and i == node:
-                pats.append(up_same[node, elem])
-            else:
-                pats.append(up_cross[(i, (node, elem))])
-        out.append(pats)
-    return cfg.append_patterns(out)
+    return pack(cfg, [[up_same[node, elem] if (marked and i == node)
+                       else up_cross[(i, (node, elem))]
+                       for _card, _pats, marked in node_groups]
+                      for i, node_groups in enumerate(decoded(cfg, []))])
+
+
+def _random_value(cfg, rng) -> int:
+    return pack(cfg, [[rng.randrange(nd.full_pattern + 1) for _card in cards]
+                      for nd, cards in zip(cfg.space.nodes, cfg.cards)])
 
 
 def test_downclose_tables_match_the_reference_on_indeterminate_counts():
@@ -733,23 +745,18 @@ def test_downclose_tables_match_the_reference_on_indeterminate_counts():
                     if card != FIN:
                         continue
                     for e in range(sk.nodes[i].size):
-                        cfg = _marked_config(sk, t, i, pat, e)
-                        assert any(g[0] == _FIN0 for g in cfg.groups[i])
-                        x = _marked_point_slot(cfg, i, e)
-                        up = _marked_up_slot(cfg, i, e)
-                        slots = [0, x, up, cfg.op_not(0), cfg.op_diff(0, x),
-                                 cfg.op_diff(up, x)]
-                        for _ in range(4):
-                            slots.append(cfg.append_patterns(
-                                [[rng.randrange(full + 1) for _g in node_groups]
-                                 for node_groups, full in zip(cfg.groups,
-                                                              sk.full_patterns)]))
-                        for slot in slots:
-                            _check_downclose(cfg, slot, outcomes)
+                        cfg, a = _marked_config(sk, t, i, pat)
+                        assert _FIN0 in cfg.cards[i]
+                        x = _marked_point(cfg, i, e)
+                        up = _marked_up(cfg, i, e)
+                        values = [a, x, up, a ^ cfg.full, a & ~x, up & ~x]
+                        values += [_random_value(cfg, rng) for _ in range(4)]
+                        for value in values:
+                            _check_downclose(cfg, value, outcomes)
     assert outcomes[False] > 1000 and outcomes[True] > 50
 
 
-# -- the packed slots against per-group references on the decoded groups ---------
+# -- the packed values against per-group references on the decoded groups --------
 
 
 def _reference_subset(groups, s1, s2):
@@ -766,81 +773,82 @@ def _reference_subset(groups, s1, s2):
     return True
 
 
-def _reference_untouched(space, groups, slot, bad):
+def _reference_untouched(space, groups, s, bad):
     """No group with copies has a ``bad(pattern, full)`` pattern; the
     first one in group order that has decides, and _FIN0 raises."""
     for nd, node_groups in zip(space.nodes, groups):
         for card, pats, _marked in node_groups:
-            if card != 0 and bad(pats[slot], nd.full_pattern):
+            if card != 0 and bad(pats[s], nd.full_pattern):
                 if card == _FIN0:
                     raise SymbolicAmbiguity("indeterminate count")
                 return False
     return True
 
 
-def _reference_to_set(space, groups, slot):
+def _reference_to_set(space, groups, s):
     counts = []
     for nd, node_groups in zip(space.nodes, groups):
         merged = {}
         for card, pats, _marked in node_groups:
             if card == _FIN0:
                 raise SymbolicAmbiguity("projecting an indeterminate count")
-            merged[pats[slot]] = _card_add(merged.get(pats[slot], 0), card)
+            merged[pats[s]] = _card_add(merged.get(pats[s], 0), card)
         if nd.is_omega and INF not in merged.values():
             raise SymbolicAmbiguity("omega node lost its INF class")
-        counts.append(tuple(sorted(merged.items())))
-    return SymbolicSet(space, counts)
+        counts.append(tuple(sorted((p, c) for p, c in merged.items() if c != 0)))
+    return SymbolicSet(space, tuple(counts))
 
 
-_REFERENCE_OPS = {  # per group: (full pattern, patterns per slot, args) -> pattern
-    "op_not": lambda full, pats, s: pats[s[0]] ^ full,
-    "op_or": lambda full, pats, s: pats[s[0]] | pats[s[1]],
-    "op_and": lambda full, pats, s: pats[s[0]] & pats[s[1]],
-    "op_diff": lambda full, pats, s: pats[s[0]] & ~pats[s[1]],
+_REFERENCE_OPS = {  # per group: (full pattern, patterns per value, args) -> pattern
+    "not": lambda full, pats, s: pats[s[0]] ^ full,
+    "or": lambda full, pats, s: pats[s[0]] | pats[s[1]],
+    "and": lambda full, pats, s: pats[s[0]] & pats[s[1]],
+    "diff": lambda full, pats, s: pats[s[0]] & ~pats[s[1]],
 }
 
 
-def _check_primitives(cfg, rng, closures=True):
-    """Every primitive op and predicate of ``cfg`` against a reference read
-    from its decoded groups, values and ambiguity both, over its slots and
-    two random ones, then (with ``closures``) the closures of each slot
-    (``_check_downclose``).  Returns the closures' outcomes."""
+def _check_primitives(cfg, values, rng, closures=True):
+    """The set operations (int operations on the values), every predicate
+    and ``op_const`` of ``cfg`` against a reference read from the decoded
+    groups, values and ambiguity both, over ``values`` and two random ones,
+    then (with ``closures``) the closures of each (``_check_downclose``).
+    Appends the random values and the results to ``values``; returns the
+    closures' outcomes."""
     sk = cfg.space
     fulls = [nd.full_pattern for nd in sk.nodes]
-    for _ in range(2):
-        cfg.append_patterns([[rng.randrange(full + 1) for _g in node_groups]
-                             for node_groups, full in zip(cfg.groups, fulls)])
-    groups = cfg.groups
-    assert Config(sk, groups, cfg.slots).groups == groups
-    slots = range(cfg.slots)
+    values += [_random_value(cfg, rng) for _ in range(2)]
+    groups = decoded(cfg, values)
+    again, again_values = frame(sk, groups, len(values))
+    assert decoded(again, again_values) == groups
     made = {}
-    for s1 in slots:
-        made["op_not", (s1,)] = cfg.op_not(s1)
-        for s2 in slots:
-            for op in ("op_or", "op_and", "op_diff"):
-                made[op, (s1, s2)] = getattr(cfg, op)(s1, s2)
-            assert (_outcome(lambda: cfg.slot_subset(s1, s2))
+    for s1, v1 in enumerate(values):
+        made["not", (s1,)] = v1 ^ cfg.full
+        for s2, v2 in enumerate(values):
+            made["or", (s1, s2)] = v1 | v2
+            made["and", (s1, s2)] = v1 & v2
+            made["diff", (s1, s2)] = v1 & ~v2
+            assert (_outcome(lambda: cfg.subset(v1, v2))
                     == _outcome(lambda: _reference_subset(groups, s1, s2))), (str(sk), groups)
-        for pred, bad in (("slot_empty", lambda p, full: p != 0),
-                          ("slot_full", lambda p, full: p != full)):
-            assert (_outcome(lambda: getattr(cfg, pred)(s1))
+        for pred, bad in (("is_empty", lambda p, full: p != 0),
+                          ("is_full", lambda p, full: p != full)):
+            assert (_outcome(lambda: getattr(cfg, pred)(v1))
                     == _outcome(lambda: _reference_untouched(sk, groups, s1, bad))), (
                 str(sk), pred, groups, s1)
-        assert (_outcome(lambda: cfg.to_set(s1))
+        assert (_outcome(lambda: cfg.to_set(v1))
                 == _outcome(lambda: _reference_to_set(sk, groups, s1)))
-    patterns = [rng.randrange(full + 1) for full in fulls]
-    const = cfg.op_const(patterns)
-    after = cfg.groups
+    const_patterns = [rng.randrange(full + 1) for full in fulls]
+    const = cfg.op_const(const_patterns)
     for (op, args), new in made.items():
-        assert [[g[1][new] for g in node_groups] for node_groups in after] == [
+        assert patterns(cfg, new) == [
             [_REFERENCE_OPS[op](full, g[1], args) for g in node_groups]
             for full, node_groups in zip(fulls, groups)], (str(sk), op, args, groups)
-    assert [[g[1][const] for g in node_groups] for node_groups in after] == [
-        [p] * len(node_groups) for p, node_groups in zip(patterns, groups)]
+    assert patterns(cfg, const) == [
+        [p] * len(node_groups) for p, node_groups in zip(const_patterns, groups)]
     outcomes = Counter()
     if closures:
-        for slot in slots:
-            _check_downclose(cfg, slot, outcomes)
+        for value in values:
+            _check_downclose(cfg, value, outcomes)
+    values += [*made.values(), const]
     return outcomes
 
 
@@ -849,11 +857,11 @@ def test_packed_primitives_match_the_per_group_reference_on_every_template():
     outcomes = Counter()
     for sk in _kernel_spaces():
         for t in all_symbolic_sets(sk):
-            cfg = Config.of(sk, t)
-            assert cfg.to_set(0) == t
-            assert cfg.groups == tuple(tuple((card, [pat], False) for pat, card in pairs)
-                                       for pairs in t.counts)
-            outcomes += _check_primitives(cfg, rng, closures=len(sk.nodes) > 1)
+            cfg, a = Config.of(sk, t)
+            assert cfg.to_set(a) == t
+            assert decoded(cfg, [a]) == tuple(tuple((card, [pat], False) for pat, card in pairs)
+                                              for pairs in t.counts)
+            outcomes += _check_primitives(cfg, [a], rng, closures=len(sk.nodes) > 1)
     assert outcomes[False] > 1000 and not outcomes[True]
 
 
@@ -869,27 +877,28 @@ def test_packed_primitives_match_the_per_group_reference_on_marked_configs():
             for i, pairs in enumerate(t.counts):
                 for pat, card in pairs:
                     e = rng.randrange(sk.nodes[i].size)
-                    cfg = _marked_config(sk, t, i, pat, e)
+                    cfg, a = _marked_config(sk, t, i, pat)
                     x = cfg.op_marked(i, 1 << e)
-                    assert [[g[1][x] for g in node_groups] for node_groups in cfg.groups] == [
+                    assert patterns(cfg, x) == [
                         [(1 << e) if marked else 0 for _card, _pats, marked in node_groups]
-                        for node_groups in cfg.groups]
-                    _check_primitives(cfg, rng, closures=False)
-                    marked = cfg.groups[i][-1][1]
-                    assert [_marked_pattern(cfg, i, s) for s in range(cfg.slots)] == marked
+                        for node_groups in decoded(cfg, [])]
+                    values = [a, x]
+                    _check_primitives(cfg, values, rng, closures=False)
+                    marked = decoded(cfg, values)[i][-1][1]
+                    assert [cfg.marked_pattern(i, v) for v in values] == marked
                     kinds[card if card in (FIN, INF) else "none left" if card == 1
                           else "some left"] += 1
     assert len(kinds) == 4 and min(kinds[FIN], kinds["none left"]) > 100, kinds
 
 
-def _pint_fixpoint(cfg, slot, delta=False):
+def _pint_fixpoint(cfg, value, delta=False):
     """The decreasing fixpoint P <- S & int(cl P) (cl_delta with ``delta``)
-    from P = S = ``slot``: the oracle for ``Config.op_pint``'s closed form."""
-    cur = slot
+    from P = S = ``value``: the oracle for ``Config.op_pint``'s closed form."""
+    cur = value
     while True:
         grown = cfg.op_cl_delta(cur) if delta else cfg.op_cl(cur)
-        nxt = cfg.op_and(slot, cfg.op_int(grown))
-        if cfg.slot_equal(nxt, cur):
+        nxt = value & cfg.op_int(grown)
+        if cfg.equal(nxt, cur):
             return cur
         cur = nxt
 
@@ -899,11 +908,10 @@ def test_pint_closed_form_matches_the_fixpoint_on_every_template():
     for sk in ([catalog(name).space for name in CATALOG_SKELETON_NAMES]
                + omega_skeletons(seed=3, count=30)):
         for t in all_symbolic_sets(sk):
-            cfg = Config.of(sk, t)
-            comp = cfg.op_not(0)
-            for slot, delta in itertools.product((0, comp), (False, True)):
-                assert (cfg.to_set(cfg.op_pint(slot, delta))
-                        == cfg.to_set(_pint_fixpoint(cfg, slot, delta))), (str(sk), str(t))
+            cfg, a = Config.of(sk, t)
+            for value, delta in itertools.product((a, a ^ cfg.full), (False, True)):
+                assert (cfg.to_set(cfg.op_pint(value, delta))
+                        == cfg.to_set(_pint_fixpoint(cfg, value, delta))), (str(sk), str(t))
                 compared += 1
     assert compared > 10_000
 
@@ -970,34 +978,30 @@ def _pre_theta_member(space, b: SymbolicSet, node: int, group_pat: int, elem: in
     """Is a generic point x of the given class/group in the pre-theta
     interior of b, i.e. is there a preopen U containing x with pcl(U) <= b?
     """
-    cfg = _marked_config(space, b, node, group_pat, elem)
-    x = _marked_point_slot(cfg, node, elem)
-    up = _marked_up_slot(cfg, node, elem)
-    b_slot = 0
+    cfg, b_value = _marked_config(space, b, node, group_pat)
+    x = _marked_point(cfg, node, elem)
+    up = _marked_up(cfg, node, elem)
     # necessary: pcl({x}) <= b
-    if not cfg.slot_subset(cfg.op_pcl(x), b_slot):
+    if not cfg.subset(cfg.op_pcl(x), b_value):
         return False
     # candidate {x} itself
-    if cfg.slot_subset(x, cfg.op_int(cfg.op_cl(x))):
+    if cfg.subset(x, cfg.op_int(cfg.op_cl(x))):
         return True  # {x} preopen and pcl({x}) <= b already checked
     # candidate U0 = largest preopen inside b & up(x)
-    room = cfg.op_and(b_slot, up)
-    u0 = cfg.op_pint(room)
-    if not _marked_pattern(cfg, node, u0) >> elem & 1:
+    u0 = cfg.op_pint(b_value & up)
+    if not cfg.marked_pattern(node, u0) >> elem & 1:
         return False  # no preopen subset of b around x at all
-    if cfg.slot_subset(cfg.op_pcl(u0), b_slot):
+    if cfg.subset(cfg.op_pcl(u0), b_value):
         return True
     # general search: per-group copy splits of U0, the marked copy pinned
     # to contain x
     group_keys = []  # (node index, b_pattern, marked group?)
     options = []
     total = 1
-    for i, node_groups in enumerate(cfg.groups):
-        for card, gpats, marked in node_groups:
+    for i, node_groups in enumerate(decoded(cfg, [u0, b_value])):
+        for card, (room_pat, bpat), marked in node_groups:
             if card == 0:
                 continue
-            room_pat = gpats[u0]
-            bpat = gpats[b_slot]
             if marked and i == node:
                 seen = {}
                 for sub in _subpatterns(room_pat):
@@ -1021,12 +1025,11 @@ def _pre_theta_member(space, b: SymbolicSet, node: int, group_pat: int, elem: in
         for i in range(len(space.nodes)):
             if not groups[i]:
                 groups[i].append([0, [0, 0], False])
-        trial = Config(space, groups, 2)
-        u_slot = 1
+        trial, (b_trial, u_trial) = frame(space, groups, 2)
         try:
-            if not trial.slot_subset(u_slot, trial.op_int(trial.op_cl(u_slot))):
+            if not trial.subset(u_trial, trial.op_int(trial.op_cl(u_trial))):
                 continue
-            if not trial.slot_subset(trial.op_pcl(u_slot), b_slot):
+            if not trial.subset(trial.op_pcl(u_trial), b_trial):
                 continue
         except SymbolicAmbiguity:
             continue
@@ -1051,7 +1054,7 @@ def _split_search_interior(space, b: SymbolicSet) -> SymbolicSet:
                     new |= 1 << e
             merged[new] = _card_add(merged.get(new, 0), card)
         counts.append(tuple(sorted(merged.items())))
-    return SymbolicSet(space, counts)
+    return SymbolicSet(space, tuple(counts))
 
 
 def _split_search_closure(space, a: SymbolicSet) -> SymbolicSet:
@@ -1156,7 +1159,7 @@ def test_catalog_takes_only_the_canonical_size(name):
 
 def test_catalog_expected_shapes():
     e = catalog("e1iii")
-    d = e.expected_dict()
+    d = {k: (v, prov) for k, v, prov in e.expected}
     assert d["p-closed"][0] is True
     assert d["delta-p-closed"][0] is False
     assert d["p-closed"][1] == "cited"

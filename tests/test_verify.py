@@ -14,7 +14,6 @@ from topolab.verify import (
     homeomorphic,
     homeomorphism_classes,
     replay,
-    reversal_report,
     run_claim,
     search_counterexample,
     space_from_json,
@@ -24,6 +23,7 @@ from topolab.verify import (
 )
 
 from conftest import all_spaces
+from oracles import reversal_report
 
 
 # -- enumeration ------------------------------------------------------------------

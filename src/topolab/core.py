@@ -140,8 +140,8 @@ class ClassFlags:
 
 
 # the set operators by name, in the order ``topolab ops`` prints them: the
-# ``FiniteSpace`` method of each; ``skeleton.sym_operator`` answers the same
-# names on skeletons
+# method of each, on ``FiniteSpace`` and on a skeleton's ``Config`` frame;
+# ``skeleton.sym_operator`` answers the same names on skeletons
 OPERATORS = {
     "int": "interior",
     "cl": "closure",
@@ -271,26 +271,6 @@ class FiniteSpace:
             m |= self.min_nbhd[x]
         return m
 
-    def consolidation(self, a: int) -> int:
-        """int(cl(a)): the largest open set a dense-ish set fills."""
-        return self.interior(self.closure(a))
-
-    def preclosure(self, a: int) -> int:
-        return a | self.closure(self.interior(a))
-
-    def preinterior(self, a: int) -> int:
-        self.check_fits(a)
-        return self.full ^ self.preclosure(self.full ^ a)
-
-    def semi_closure(self, a: int) -> int:
-        return a | self.interior(self.closure(a))
-
-    # -- delta operators -------------------------------------------------
-
-    @cached_property
-    def regular_opens(self) -> tuple[int, ...]:
-        return _canon(self.interior(self.closure(o)) for o in self.opens)
-
     @cached_property
     def _min_regular_nbhd(self) -> tuple[int, ...]:
         """Smallest regular open set holding each point: int(cl(row))."""
@@ -303,6 +283,39 @@ class FiniteSpace:
             if self._min_regular_nbhd[x] & a:
                 m |= 1 << x
         return m
+
+    @cached_property
+    def tops(self) -> tuple[int, int]:
+        """Top and S (``top_classes``) as masks."""
+        tops = top_classes(self.min_nbhd)
+        return tops.top, tops.single
+
+    # -- derived operators -------------------------------------------------
+
+    # Written once, over the primitives interior, closure, delta_closure and
+    # up, plus ``full`` and ``tops``: ``skeleton.Config`` answers the same
+    # names on the values of a frame and borrows these bodies.  None checks
+    # its mask: each first hands ``a``, or ``full ^ a``, which has the same
+    # bits outside the carrier, to a primitive that checks it.
+
+    def consolidation(self, a: int) -> int:
+        """int(cl(a)): the largest open set a dense-ish set fills."""
+        return self.interior(self.closure(a))
+
+    def preclosure(self, a: int) -> int:
+        return a | self.closure(self.interior(a))
+
+    def preinterior(self, a: int) -> int:
+        """The largest preopen subset of S = ``a``: S & int(cl(S)).
+
+        Let U be int(cl(S)) and P = S & U.  A point y of U lies in cl(S), so
+        every open W around y meets S inside the open W & U: U lies in
+        cl(P).  So P lies in U, inside int(cl(P)), and P is preopen.  A
+        preopen Q inside S lies in int(cl(Q)), inside U, so in P."""
+        return a & self.interior(self.closure(a))
+
+    def semi_closure(self, a: int) -> int:
+        return a | self.interior(self.closure(a))
 
     def is_delta_preopen(self, a: int) -> bool:
         return a & ~self.interior(self.delta_closure(a)) == 0
@@ -318,13 +331,25 @@ class FiniteSpace:
         y, inside W & U, which meets S as y lies in cl_delta(S); so U lies
         in cl_delta(S & U), and S & U lies in U, inside
         int(cl_delta(S & U)): it is delta-preopen.  A delta-preopen subset
-        Q of S lies in int(cl_delta(Q)), inside U, so in S & U.
-        ``Config.op_pint`` takes the same closed form on skeletons."""
-        self.check_fits(a)
+        Q of S lies in int(cl_delta(Q)), inside U, so in S & U."""
         rest = self.full ^ a
         return self.full ^ (rest & self.interior(self.delta_closure(rest)))
 
-    # -- preopen families and pre-theta operators -------------------------
+    def pre_theta_closure(self, a: int) -> int:
+        """pcl_theta(a) = a | cl((Top & int a) | (S & up a)).
+
+        A set is preopen iff every top class above each of its points meets
+        it, so the smallest preopen sets around x are {x} plus one point from
+        each top class above x.  For x outside ``a`` one of them has a
+        preclosure U | cl(int U) missing ``a`` (int U holds at most x and the
+        one-point tops above x, which every such U holds) unless a top class
+        above x lies inside ``a`` or a one-point top above x lies in up(a).
+        """
+        top, single = self.tops
+        # ``interior`` comes first: it checks ``a`` before ``up`` reads it
+        return a | self.closure(top & self.interior(a) | single & self.up(a))
+
+    # -- preopen families --------------------------------------------------
 
     @cached_property
     def preopen_masks(self) -> tuple[int, ...]:
@@ -340,25 +365,6 @@ class FiniteSpace:
     @cached_property
     def _preopen_pcl(self) -> tuple[tuple[int, int], ...]:
         return tuple((v, self.preclosure(v)) for v in self.preopen_masks)
-
-    @cached_property
-    def tops(self) -> TopClasses:
-        return top_classes(self.min_nbhd)
-
-    def pre_theta_closure(self, a: int) -> int:
-        """pcl_theta(a) = a | cl((Top & int a) | (S & up a)).
-
-        A set is preopen iff every top class above each of its points meets
-        it, so the smallest preopen sets around x are {x} plus one point from
-        each top class above x.  For x outside ``a`` one of them has a
-        preclosure U | cl(int U) missing ``a`` (int U holds at most x and the
-        one-point tops above x, which every such U holds) unless a top class
-        above x lies inside ``a`` or a one-point top above x lies in up(a).
-        """
-        self.check_fits(a)
-        tops = self.tops
-        return a | self.closure(tops.top & self.interior(a)
-                                | tops.single & self.up(a))
 
     def operator(self, name: str, a: int) -> int:
         """The operator ``name`` of ``OPERATORS`` applied to ``a``."""
@@ -385,10 +391,12 @@ class FiniteSpace:
     # -- classification ----------------------------------------------------
 
     def classify(self, a: int) -> ClassFlags:
-        return self.recall(("flags", a), lambda: self._classify(a))
+        return self.recall(("flags", a), lambda: self.class_flags(a))
 
-    def _classify(self, a: int) -> ClassFlags:
-        self.check_fits(a)
+    def class_flags(self, a: int) -> ClassFlags:
+        """Every class flag of ``a``, by int comparisons of what the
+        primitives and the derived operators give; ``Config`` borrows this
+        body too.  ``closure`` checks ``a`` first."""
         cl_a = self.closure(a)
         int_a = self.interior(a)
         int_cl = self.interior(cl_a)

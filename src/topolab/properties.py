@@ -509,9 +509,9 @@ def _exists_separating_preopen(space, f_set, node, group_pat, elem) -> bool:
     for choice in itertools.chain(list(found), (c for c in masks if c not in found)):
         v = (f_value | cfg.op_const(choice)) & ~point
         try:
-            if not cfg.subset(v, cfg.op_int(cfg.op_cl(v))):
+            if not cfg.subset(v, cfg.consolidation(v)):
                 continue
-            if cfg.marked_pattern(node, cfg.op_pcl(v)) >> elem & 1:
+            if cfg.marked_pattern(node, cfg.preclosure(v)) >> elem & 1:
                 continue
         except SymbolicAmbiguity:
             continue

@@ -18,7 +18,10 @@ below are exact, not approximations.  A ``Config`` is a frame in which such
 subsets are aligned copy by copy: each subset is a value, one int with a bit
 field per group of copies (``_Layout``).  Operators take values and return
 values, set operations are the int operations, and a closure reads one table
-entry per node (``_Segments``).  The one delicate construction is a
+entry per node (``_Segments``).  A frame answers the names a ``FiniteSpace``
+does: its primitives (closure, delta-closure, up-closure, interior, Top and
+S) are its own, and it borrows ``FiniteSpace``'s bodies of the derived
+operators and the class flags.  The one delicate construction is a
 "marked copy" (one distinguished copy of a node, used for generic-point
 arguments); marked configurations never carry the ambiguous FIN class on
 the marked copy, which keeps every decision definite, and the engine raises
@@ -32,8 +35,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 
-from topolab.core import (MAX_EXPLICIT_POINTS, FiniteSpace, bits, ClassFlags, numeral,
-                          top_classes)
+from topolab.core import (MAX_EXPLICIT_POINTS, OPERATORS, FiniteSpace, bits, ClassFlags,
+                          numeral, top_classes)
 
 FIN = "fin"
 INF = "inf"
@@ -397,9 +400,8 @@ class SkeletonSpace:
 
     def operator(self, name: str, t: "SymbolicSet") -> "SymbolicSet":
         """The operator ``name`` of ``core.OPERATORS`` applied to a template
-        (``sym_operator``), memoized under ``(name, t.counts)``: the
-        saturations of the cover deciders and the pre-theta closures of
-        classification share it."""
+        (``sym_operator``), memoized under ``(name, t.counts)``, where the
+        cover deciders' saturations read it."""
         return self.recall((name, t.counts), lambda: sym_operator(self, name, t))
 
     def layout(self, kinds: tuple) -> "_Layout":
@@ -717,7 +719,7 @@ class Config:
 
     # -- operators --
 
-    def _op_downclose(self, value: int, tables: str) -> int:
+    def _downclose(self, value: int, tables: str) -> int:
         """Down-closure through the layout's segment tables ``tables``
         (``_Layout.down_segments`` or ``down_segments_s``), or up-closure
         through ``up_segments``: the OR, over nodes, of the entry
@@ -732,54 +734,44 @@ class Config:
             raise SymbolicAmbiguity("closure depends on an indeterminate copy count")
         return out
 
-    def op_cl(self, value: int) -> int:
-        return self._op_downclose(value, "down_segments")
+    def closure(self, value: int) -> int:
+        return self._downclose(value, "down_segments")
 
-    def op_cl_delta(self, value: int) -> int:
-        return self._op_downclose(value, "down_segments_s")
+    def delta_closure(self, value: int) -> int:
+        return self._downclose(value, "down_segments_s")
 
-    def op_up(self, value: int) -> int:
-        return self._op_downclose(value, "up_segments")
+    def up(self, value: int) -> int:
+        return self._downclose(value, "up_segments")
+
+    def interior(self, value: int) -> int:
+        return self.closure(value ^ self.full) ^ self.full
 
     def op_const(self, patterns) -> int:
         """``patterns[i]`` on every copy of node i."""
         return sum(p * rep for p, rep in zip(patterns, self.layout.reps))
 
-    def op_int(self, value: int) -> int:
-        return self.op_cl(value ^ self.full) ^ self.full
+    @cached_property
+    def tops(self) -> tuple[int, int]:
+        """Top and S (``FiniteSpace.tops``) as values of this frame: the
+        class-uniform patterns of ``SkeletonSpace.top_patterns`` on every
+        copy."""
+        top, single = self.space.top_patterns
+        return self.op_const(top), self.op_const(single)
 
-    def op_pcl(self, value: int) -> int:
-        return value | self.op_cl(self.op_int(value))
-
-    def op_scl(self, value: int) -> int:
-        return value | self.op_int(self.op_cl(value))
-
-    def op_consolidation(self, value: int) -> int:
-        return self.op_int(self.op_cl(value))
-
-    def op_pcl_theta(self, value: int) -> int:
-        """pcl_theta(a) = a | cl((Top & int a) | (S & up a)), the identity of
-        ``FiniteSpace.pre_theta_closure``, on the class-uniform Top and S of
-        ``SkeletonSpace.top_patterns``."""
-        top, single = (self.op_const(pats) for pats in self.space.top_patterns)
-        return value | self.op_cl((top & self.op_int(value)) | (single & self.op_up(value)))
-
-    def op_pint(self, value: int, delta: bool = False) -> int:
-        """The largest preopen subset of S = ``value``, S & int cl S, or with
-        ``delta`` the largest delta-preopen one, S & int cl_delta S.
-
-        Let U be int cl S (int cl_delta S) and P = S & U.  A point y of U
-        lies in cl S, so every open W around y meets S inside the open
-        W & U: U lies in cl P.  In the delta case U is regular open, the
-        complement of the closure of the union of the regular open sets
-        that miss S; a regular open W around y holds the regular open
-        int cl (W & U) around y, inside W & U, which meets S as y lies in
-        cl_delta S: U lies in cl_delta P.  So P lies in U, inside int cl P
-        (int cl_delta P), and P is (delta-)preopen.  A (delta-)preopen Q
-        inside S lies in int cl Q (int cl_delta Q), inside U, so in P.
-        ``FiniteSpace.delta_preclosure`` takes the same closed form."""
-        grown = self.op_cl_delta(value) if delta else self.op_cl(value)
-        return value & self.op_int(grown)
+    # The derived operators and the class flags are identities over the
+    # primitives above, ``full`` and ``tops``, which are exact on the
+    # realization: this frame runs ``FiniteSpace``'s own bodies.  The flags
+    # and ``is_delta_preopen`` compare values as ints, which is the frame's
+    # subset and equality test only where every group is sure, as in the
+    # frames of ``Config.of``.
+    consolidation = FiniteSpace.consolidation
+    preclosure = FiniteSpace.preclosure
+    preinterior = FiniteSpace.preinterior
+    semi_closure = FiniteSpace.semi_closure
+    is_delta_preopen = FiniteSpace.is_delta_preopen
+    delta_preclosure = FiniteSpace.delta_preclosure
+    pre_theta_closure = FiniteSpace.pre_theta_closure
+    class_flags = FiniteSpace.class_flags
 
     # -- predicates --
 
@@ -869,75 +861,20 @@ def sym_complement(space, a: SymbolicSet) -> SymbolicSet:
     return cfg.to_set(value ^ cfg.full)
 
 
-def sym_pre_theta_closure(space, a: SymbolicSet) -> SymbolicSet:
-    cfg, value = Config.of(space, a)
-    return cfg.to_set(cfg.op_pcl_theta(value))
-
-
-_OPS = {
-    "int": Config.op_int,
-    "cl": Config.op_cl,
-    "pcl": Config.op_pcl,
-    "scl": Config.op_scl,
-    "consolidation": Config.op_consolidation,
-    "delta-cl": Config.op_cl_delta,
-    "pint": Config.op_pint,
-    "delta-pcl": lambda cfg, v: cfg.op_pint(v ^ cfg.full, delta=True) ^ cfg.full,
-}
-
-
 def sym_operator(space: SkeletonSpace, op: str, a: SymbolicSet) -> SymbolicSet:
     """Exact symbolic operator on a symbolic set: each name of
-    ``core.OPERATORS``."""
-    if op == "pcl-theta":
-        return sym_pre_theta_closure(space, a)
-    if op not in _OPS:
+    ``core.OPERATORS``, the ``Config`` method of that name."""
+    if op not in OPERATORS:
         raise SkeletonError(f"unknown operator {op!r}")
     cfg, value = Config.of(space, a)
-    return cfg.to_set(_OPS[op](cfg, value))
+    return cfg.to_set(getattr(cfg, OPERATORS[op])(value))
 
 
 def sym_classify(space: SkeletonSpace, a: SymbolicSet) -> ClassFlags:
-    """All set-class flags of a symbolic set, computed symbolically."""
-    cfg, v = Config.of(space, a)
-    cl = cfg.op_cl(v)
-    interior = cfg.op_int(v)
-    intcl = cfg.op_int(cl)
-    clint = cfg.op_cl(interior)
-    comp = v ^ cfg.full
-    preopen = cfg.subset(v, intcl)
-    preclosed = cfg.subset(clint, v)
-    semi_open = cfg.subset(v, clint)
-    semi_closed = cfg.subset(intcl, v)
-    # locally closed: cl(a) - a is closed
-    rim = cl & ~v
-    locally_closed = cfg.equal(cfg.op_cl(rim), rim)
-    delta_preopen = cfg.subset(v, cfg.op_int(cfg.op_cl_delta(v)))
-    delta_preclosed = cfg.subset(comp, cfg.op_int(cfg.op_cl_delta(comp)))
-    pth = space.operator("pcl-theta", a)
-    comp_set = cfg.to_set(comp)
-    pth_c = space.operator("pcl-theta", comp_set)
-    return ClassFlags(
-        open=cfg.equal(v, interior),
-        closed=cfg.equal(v, cl),
-        regular_open=cfg.equal(v, intcl),
-        regular_closed=cfg.equal(v, clint),
-        preopen=preopen,
-        preclosed=preclosed,
-        semi_open=semi_open,
-        semi_closed=semi_closed,
-        semi_regular=semi_open and semi_closed,
-        alpha_open=cfg.subset(v, cfg.op_int(clint)),
-        delta_preopen=delta_preopen,
-        delta_preclosed=delta_preclosed,
-        preregular=preopen and preclosed,
-        pre_theta_open=pth_c == comp_set,
-        pre_theta_closed=pth == a,
-        dense=cfg.is_full(cl),
-        nowhere_dense=cfg.is_empty(intcl),
-        locally_closed=locally_closed,
-        locally_dense=preopen,
-    )
+    """All set-class flags of a symbolic set: ``class_flags`` in its frame,
+    where every group is sure."""
+    cfg, value = Config.of(space, a)
+    return cfg.class_flags(value)
 
 
 # -- expansion and skeletonization ---------------------------------------------

@@ -35,9 +35,14 @@ def semiopen_masks(space: FiniteSpace) -> tuple[int, ...]:
                  if a & ~space.closure(space.interior(a)) == 0)
 
 
+def regular_opens(space: FiniteSpace) -> frozenset[int]:
+    """The regular open sets, int(cl(o)) for each open o."""
+    return frozenset(space.consolidation(o) for o in space.opens)
+
+
 def semi_regular_sandwich(space: FiniteSpace, a: int) -> bool:
     """Regular-open sandwich test: some regular open U has U <= a <= cl(U)."""
-    return any(u & ~a == 0 and a & ~space.closure(u) == 0 for u in space.regular_opens)
+    return any(u & ~a == 0 and a & ~space.closure(u) == 0 for u in regular_opens(space))
 
 
 def is_strictly_finer(fine: FilterBase, coarse: FilterBase) -> bool:

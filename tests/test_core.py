@@ -22,7 +22,7 @@ from topolab.core import (
 )
 
 from conftest import all_spaces
-from oracles import format_topo, preopen_at, semi_regular_sandwich
+from oracles import format_topo, preopen_at, regular_opens, semi_regular_sandwich
 
 
 def closure_space(n, generators):
@@ -121,9 +121,11 @@ def test_operators_from_up_set_rows_match_the_open_list_scan(n):
 
 def test_operators_reject_masks_outside_the_carrier(s2):
     for bad in (-1, s2.full + 1):
-        for op in (s2.interior, s2.closure):
+        for name in core.OPERATORS:
             with pytest.raises(TopologyError):
-                op(bad)
+                s2.operator(name, bad)
+        with pytest.raises(TopologyError):
+            s2.classify(bad)
 
 
 def test_hash_is_computed_once_and_survives_pickling():
@@ -162,7 +164,7 @@ def test_from_rows_rejects_a_non_preorder(n, rows):
 
 def _min_regular_nbhd_by_scan(sp, x):
     m = sp.full
-    for r in sp.regular_opens:
+    for r in regular_opens(sp):
         if r >> x & 1:
             m &= r
     return m

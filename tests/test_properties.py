@@ -25,6 +25,7 @@ from topolab.skeleton import (
     format_skel,
     full_set,
     parse_skel,
+    sym_complement,
 )
 
 from conftest import all_spaces, omega_skeletons
@@ -471,11 +472,8 @@ def test_raised_saturation_is_memoized_as_unknown(monkeypatch):
     space = parse_skel(format_skel(catalog("excluded-point-omega").space))
     t_class = SymbolicSet.from_names(space, {"t": {(0,): INF}})
     calls = []
-    real_operator = S.sym_operator
 
     def incomplete(sp, op, t):
-        if op == "pcl-theta":  # classification's closures: not a saturation
-            return real_operator(sp, op, t)
         calls.append((op, t.counts))
         raise SymbolicIncomplete("pre-theta search budget exceeded")
 
@@ -498,8 +496,7 @@ def test_raised_saturation_is_memoized_as_unknown(monkeypatch):
 
 def _saturations_per_key(monkeypatch, cid):
     """Run ``cid`` on the catalog from cold memos and count how often each
-    (space, op, template) is saturated.  A pre-theta closure is counted
-    where it is computed, whether a saturation or a classification asks."""
+    (space, op, template) is saturated."""
     import topolab.skeleton as S
     from topolab.verify import CATALOG_UNIVERSE, Universe, run_claim
 
@@ -508,19 +505,13 @@ def _saturations_per_key(monkeypatch, cid):
         if isinstance(space, SkeletonSpace):
             space.memo.clear()
     evaluated = Counter()
-    real_operator, real_closure = S.sym_operator, S.sym_pre_theta_closure
+    real_operator = S.sym_operator
 
     def counting_operator(space, op, t):
-        if op != "pcl-theta":
-            evaluated[space, op, t.counts] += 1
+        evaluated[space, op, t.counts] += 1
         return real_operator(space, op, t)
 
-    def counting_closure(space, t):
-        evaluated[space, "pcl-theta", t.counts] += 1
-        return real_closure(space, t)
-
     monkeypatch.setattr(S, "sym_operator", counting_operator)
-    monkeypatch.setattr(S, "sym_pre_theta_closure", counting_closure)
     report = run_claim(cid, Universe.parse("catalog"))
     assert report.status == "pass"
     return evaluated
@@ -538,25 +529,32 @@ def test_p41_on_the_catalog_saturates_each_template_once(monkeypatch):
     assert max(evaluated.values()) == 1
 
 
-@pytest.mark.parametrize("name", CATALOG_SKELETONS)
-def test_classifying_the_templates_closes_each_one_once(monkeypatch, name):
-    """Classifying a template takes the pre-theta closures of it and of its
-    complement, another template: each closure is computed once, shared
-    through the memo."""
+@pytest.mark.parametrize("name", CATALOG_SKELETONS + ("omega-seed-3",))
+def test_classification_asks_no_operator(monkeypatch, name):
+    """Classification takes the pre-theta closures of a template and of its
+    complement in the template's own frame: on a cold memo it makes no
+    ``sym_operator`` call, and its pre-theta flags agree with that
+    operator.  ``omega-seed-3`` stands for 30 seeded omega-skeletons."""
     import topolab.skeleton as S
 
-    evaluated = Counter()
-    real = S.sym_pre_theta_closure
+    calls = []
+    real = S.sym_operator
 
-    def counting(space, t):
-        evaluated[t.counts] += 1
-        return real(space, t)
+    def counting(space, op, t):
+        calls.append((op, t.counts))
+        return real(space, op, t)
 
-    monkeypatch.setattr(S, "sym_pre_theta_closure", counting)
-    sk = parse_skel(format_skel(catalog(name).space))  # a cold memo
-    templates = classified_templates(sk)
-    assert set(evaluated) == {t.counts for t, _flags in templates}
-    assert max(evaluated.values()) == 1
+    monkeypatch.setattr(S, "sym_operator", counting)
+    spaces = (omega_skeletons(seed=3, count=30) if name == "omega-seed-3"
+              else [catalog(name).space])
+    for sk in spaces:
+        sk = parse_skel(format_skel(sk))  # a cold memo
+        templates = classified_templates(sk)
+        assert not calls, (format_skel(sk), calls[:3])
+        for t, flags in templates:
+            comp = sym_complement(sk, t)
+            assert flags.pre_theta_closed == (real(sk, "pcl-theta", t) == t), str(t)
+            assert flags.pre_theta_open == (real(sk, "pcl-theta", comp) == comp), str(t)
 
 
 # every other result lives in the memo of the space it was computed from
@@ -684,7 +682,7 @@ def _boundary_has_inf(space, t):
     from topolab.skeleton import Config
 
     cfg, a = Config.of(space, t)
-    diff = cfg.op_cl(a) & ~cfg.op_int(a)
+    diff = cfg.closure(a) & ~cfg.interior(a)
     return any(pats[0] and card == INF
                for node_groups in decoded(cfg, [diff]) for card, pats, _m in node_groups)
 
@@ -693,8 +691,6 @@ def _template_simple(space, name):
     """Reference: the template searches these properties were decided with
     on skeletons before the top-class rules and the probe-row rule of
     aleph0-ed."""
-    from topolab.skeleton import sym_complement
-
     templates = classified_templates(space)
     if name == "aleph0-ed":
         return space.finite or not any(
@@ -841,9 +837,9 @@ def _separating_preopen_by_product(space, f_set, node, group_pat, elem) -> bool:
             if not cfg.subset(f_value, vv):
                 continue
             try:
-                if not cfg.subset(vv, cfg.op_int(cfg.op_cl(vv))):
+                if not cfg.subset(vv, cfg.interior(cfg.closure(vv))):
                     continue
-                if cfg.marked_pattern(node, cfg.op_pcl(vv)) >> elem & 1:
+                if cfg.marked_pattern(node, cfg.preclosure(vv)) >> elem & 1:
                     continue
             except SymbolicAmbiguity:
                 continue

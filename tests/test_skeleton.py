@@ -37,7 +37,6 @@ from topolab.skeleton import (
     sym_classify,
     sym_complement,
     sym_operator,
-    sym_pre_theta_closure,
 )
 
 from conftest import omega_skeletons
@@ -397,10 +396,10 @@ def _outcome(compute):
 
 
 def test_skeleton_operators_answer_exactly_the_core_names():
-    import topolab.skeleton as S
     from topolab.core import OPERATORS
 
-    assert set(S._OPS) | {"pcl-theta"} == set(OPERATORS)
+    for meth in OPERATORS.values():
+        assert callable(getattr(Config, meth, None)), meth
     sk = catalog("excluded-point-omega").space
     t = full_set(sk)
     for name in OPERATORS:
@@ -682,9 +681,9 @@ def _check_downclose(cfg, value, outcomes):
     """cl, delta-cl and the up-closure of ``value`` agree with the
     reference, patterns and ambiguity both; ``outcomes`` counts closures
     and ambiguities."""
-    for op, masks in (("op_cl", cfg.space.down_masks),
-                      ("op_cl_delta", cfg.space.down_masks_s),
-                      ("op_up", cfg.space.up_masks)):
+    for op, masks in (("closure", cfg.space.down_masks),
+                      ("delta_closure", cfg.space.down_masks_s),
+                      ("up", cfg.space.up_masks)):
         try:
             want = _reference_downclose(cfg, value, *masks)
         except SymbolicAmbiguity:
@@ -893,11 +892,12 @@ def test_packed_primitives_match_the_per_group_reference_on_marked_configs():
 
 def _pint_fixpoint(cfg, value, delta=False):
     """The decreasing fixpoint P <- S & int(cl P) (cl_delta with ``delta``)
-    from P = S = ``value``: the oracle for ``Config.op_pint``'s closed form."""
+    from P = S = ``value``: the oracle for the closed forms of
+    ``preinterior`` and ``delta_preclosure``."""
     cur = value
     while True:
-        grown = cfg.op_cl_delta(cur) if delta else cfg.op_cl(cur)
-        nxt = value & cfg.op_int(grown)
+        grown = cfg.delta_closure(cur) if delta else cfg.closure(cur)
+        nxt = value & cfg.interior(grown)
         if cfg.equal(nxt, cur):
             return cur
         cur = nxt
@@ -910,7 +910,9 @@ def test_pint_closed_form_matches_the_fixpoint_on_every_template():
         for t in all_symbolic_sets(sk):
             cfg, a = Config.of(sk, t)
             for value, delta in itertools.product((a, a ^ cfg.full), (False, True)):
-                assert (cfg.to_set(cfg.op_pint(value, delta))
+                largest = (cfg.full ^ cfg.delta_preclosure(value ^ cfg.full) if delta
+                           else cfg.preinterior(value))
+                assert (cfg.to_set(largest)
                         == cfg.to_set(_pint_fixpoint(cfg, value, delta))), (str(sk), str(t))
                 compared += 1
     assert compared > 10_000
@@ -920,7 +922,7 @@ def test_pint_closed_form_matches_the_fixpoint_on_every_template():
 #
 # Pre-theta interior membership of a generic point, decided by searching copy
 # splits of the largest preopen set around it: a check of the identity in
-# ``Config.op_pcl_theta`` that does not use it.
+# ``FiniteSpace.pre_theta_closure`` that does not use it.
 
 
 def _subpatterns(pat: int):
@@ -982,16 +984,16 @@ def _pre_theta_member(space, b: SymbolicSet, node: int, group_pat: int, elem: in
     x = _marked_point(cfg, node, elem)
     up = _marked_up(cfg, node, elem)
     # necessary: pcl({x}) <= b
-    if not cfg.subset(cfg.op_pcl(x), b_value):
+    if not cfg.subset(cfg.preclosure(x), b_value):
         return False
     # candidate {x} itself
-    if cfg.subset(x, cfg.op_int(cfg.op_cl(x))):
+    if cfg.subset(x, cfg.interior(cfg.closure(x))):
         return True  # {x} preopen and pcl({x}) <= b already checked
     # candidate U0 = largest preopen inside b & up(x)
-    u0 = cfg.op_pint(b_value & up)
+    u0 = cfg.preinterior(b_value & up)
     if not cfg.marked_pattern(node, u0) >> elem & 1:
         return False  # no preopen subset of b around x at all
-    if cfg.subset(cfg.op_pcl(u0), b_value):
+    if cfg.subset(cfg.preclosure(u0), b_value):
         return True
     # general search: per-group copy splits of U0, the marked copy pinned
     # to contain x
@@ -1027,9 +1029,9 @@ def _pre_theta_member(space, b: SymbolicSet, node: int, group_pat: int, elem: in
                 groups[i].append([0, [0, 0], False])
         trial, (b_trial, u_trial) = frame(space, groups, 2)
         try:
-            if not trial.subset(u_trial, trial.op_int(trial.op_cl(u_trial))):
+            if not trial.subset(u_trial, trial.interior(trial.closure(u_trial))):
                 continue
-            if not trial.subset(trial.op_pcl(u_trial), b_trial):
+            if not trial.subset(trial.preclosure(u_trial), b_trial):
                 continue
         except SymbolicAmbiguity:
             continue
@@ -1070,7 +1072,7 @@ def test_pre_theta_closure_matches_the_split_search_on_every_template():
         assert ({sym_complement(sk, t).counts for t in templates}
                 == {t.counts for t in templates})
         for t in templates:
-            assert sym_pre_theta_closure(sk, t) == _split_search_closure(sk, t), (
+            assert sym_operator(sk, "pcl-theta", t) == _split_search_closure(sk, t), (
                 str(sk), str(t))
             compared += 1
     assert compared > 1500

@@ -376,8 +376,12 @@ class FiniteSpace:
 
     @cached_property
     def memo(self) -> dict:
-        """Results computed from this space (class flags, subspaces, cover
-        families and verdicts), keyed by a tag and their arguments."""
+        """Results computed from this space, keyed by a tag and their
+        arguments: class flags, subspaces, cover families and verdicts; on
+        a ``SkeletonSpace``, which borrows this memo and ``recall``, also
+        operator results and ``Config`` layouts, keyed by a template's
+        counts or group kinds (not by a SymbolicSet, whose hash walks the
+        space).  Only results are stored, never an exception."""
         return {}
 
     def recall(self, key, compute):

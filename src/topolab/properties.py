@@ -38,7 +38,6 @@ from topolab.skeleton import (
     SkeletonOverflow,
     SkeletonSpace,
     SymbolicAmbiguity,
-    SymbolicIncomplete,
     SymbolicSet,
     _marked_config,
     all_symbolic_sets,
@@ -174,7 +173,7 @@ class _FiniteVerdict(Verdict):
         return _finite_certificate(*self._cover)
 
 
-# -- symbolic results, memoized on the space (SkeletonSpace.recall) ------------
+# -- symbolic results, memoized on the space (space.recall) --------------------
 
 
 def classified_templates(space: SkeletonSpace):
@@ -209,11 +208,7 @@ def _escape_search(space: SkeletonSpace, cp: CoverProperty, classes, pis):
         for (i, e) in classes:
             found = None
             for t in _covering_templates(space, cp, i, e):
-                try:
-                    sat = _saturate(space, cp.saturation, t)
-                except (SymbolicIncomplete, SymbolicAmbiguity):
-                    continue
-                if sat.trace_card(*pi) != INF:
+                if _saturate(space, cp.saturation, t).trace_card(*pi) != INF:
                     found = t
                     break
             if found is None:
@@ -239,19 +234,8 @@ def _pivot_search(space: SkeletonSpace, cp: CoverProperty, classes):
     point of the class saturates to the full carrier."""
     flag = _CLASS_FLAG[cp.cover_class]
     for (i, e) in classes:
-        ok = True
-        for t in flagged(space, flag):
-            if not t.touches(i, e):
-                continue
-            try:
-                sat = _saturate(space, cp.saturation, t)
-            except (SymbolicIncomplete, SymbolicAmbiguity):
-                ok = False
-                break
-            if not sat.is_full():
-                ok = False
-                break
-        if ok:
+        if all(_saturate(space, cp.saturation, t).is_full()
+               for t in flagged(space, flag) if t.touches(i, e)):
             return {
                 "kind": "pivot",
                 "class": {"node": space.nodes[i].name, "elem": e},
@@ -307,7 +291,7 @@ def _check_relative_uncached(space: SkeletonSpace, s: SymbolicSet,
         if witness is not None:
             return Verdict(False, witness=witness)
         cert = _pivot_search(space, cp, classes)
-    except (SkeletonOverflow, SymbolicIncomplete, SymbolicAmbiguity):
+    except SkeletonOverflow:  # all_symbolic_sets past its cap
         return Verdict(None)
     if cert is not None:
         return Verdict(True, certificate=cert)

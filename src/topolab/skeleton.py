@@ -6,9 +6,10 @@ with copies of one node mutually unrelated (``antichain``) or all mutually
 related (``clique``), plus class-uniform order declarations between block
 elements of different nodes.  Open sets of the realized space are exactly
 the up-sets of the realized preorder.  A skeleton holds that preorder once,
-as the up-set rows of its validation probe (omega as 3 copies, finite cards
-capped at 3), and reads the per-class masks of it, of its reverse and of
-the semiregularization preorder from rows of the probe's shape.
+as the per-class masks of its reverse (``up_masks``, the declaration), lays
+out from them the up-set rows of its validation probe (omega as 3 copies,
+finite cards capped at 3), and reads the per-class masks of the order and
+of the semiregularization preorder from rows of the probe's shape.
 
 Subsets of a realization are abstracted per node by how many copies carry
 each block-element pattern: an exact count for finite nodes, one of
@@ -54,11 +55,14 @@ class SkeletonOverflow(SkeletonError):
 
 
 class SymbolicAmbiguity(RuntimeError):
-    """A symbolic computation would depend on an indeterminate count."""
+    """A symbolic computation would depend on an indeterminate count.  Only
+    marked frames (``_marked_config``) hold such counts, and their one
+    user, the separation search of ``properties``, catches it."""
 
 
 class SymbolicIncomplete(RuntimeError):
-    """A bounded symbolic search could not settle a decision."""
+    """A bounded symbolic search could not settle a decision.  Nothing in
+    topolab raises it; it is kept as a name that callers may catch."""
 
 
 BLOCKS = {
@@ -133,8 +137,8 @@ def _card_add(a, b):
         return a
     if INF in (a, b):
         return INF
-    if FIN in (a, b) or _FIN0 in (a, b):
-        return FIN if FIN in (a, b) or isinstance(a, int) or isinstance(b, int) else _FIN0
+    if FIN in (a, b):
+        return FIN
     return a + b
 
 
@@ -217,21 +221,14 @@ class SkeletonSpace:
     @cached_property
     def probe_rows(self) -> tuple[int, ...]:
         """The up-set rows of the validation probe (``probe_copies()``), laid
-        out from the declared relation and checked transitive: the row of
-        every point of a row lies inside it.  Above a point (i, c, e) the
-        declaration puts the block row of e in copy c, every element of the
-        other copies of a clique node, and the elements of other nodes that
-        ``rels`` names.  Permuting the copies of a node maps this relation
-        to itself, so the rows of copy 0 are checked, and a failure there is
-        the first in carrier order."""
-        up_same = {(i, e): r for i, nd in enumerate(self.nodes) for e, r in enumerate(nd.block)}
-        up_cross = {(j, (i, e)): nd.full_pattern if j == i and nd.mode == "clique" else 0
-                    for j, nd in enumerate(self.nodes) for i, e in up_same}
-        for (i, e), (j, f) in self.rels:
-            up_cross[j, (i, e)] |= 1 << f
+        out from the declared relation (``up_masks``) and checked
+        transitive: the row of every point of a row lies inside it.
+        Permuting the copies of a node maps this relation to itself, so the
+        rows of copy 0 are checked, and a failure there is the first in
+        carrier order."""
         shifts = self._shifts(self.probe_copies())
-        rows = tuple(self._up_rows(shifts, (up_same, up_cross)))
-        for i, e in up_same:
+        rows = tuple(self._up_rows(shifts, self.up_masks))
+        for i, e in self.up_masks[0]:
             a = shifts[i][0] + e
             row = rows[a]
             for b in bits(row):
@@ -320,11 +317,19 @@ class SkeletonSpace:
 
     @cached_property
     def up_masks(self):
-        """The class masks of the reversed order, read from the down-set
-        rows: up_same[i, e] and up_cross[j, (i, e)] hold the classes above
-        (i, e)."""
-        return self._class_masks([self._probe.closure(1 << y)
-                                  for y in range(self._probe.n)])
+        """The class masks of the reversed order, as declared:
+        ``up_same[i, e]`` and ``up_cross[j, (i, e)]`` hold the classes above
+        (i, e) in its own copy and in the other copies of node j.  Above a
+        point (i, c, e) the declaration puts the block row of e in copy c,
+        every element of the other copies of a clique node, and the
+        elements of other nodes that ``rels`` names.  Once ``probe_rows``
+        has checked it transitive, this is the order itself."""
+        up_same = {(i, e): r for i, nd in enumerate(self.nodes) for e, r in enumerate(nd.block)}
+        up_cross = {(j, (i, e)): nd.full_pattern if j == i and nd.mode == "clique" else 0
+                    for j, nd in enumerate(self.nodes) for i, e in up_same}
+        for (i, e), (j, f) in self.rels:
+            up_cross[j, (i, e)] |= 1 << f
+        return up_same, up_cross
 
     def _up_rows(self, shifts, up_masks) -> list[int]:
         """The up-set rows of a realization, over the points that ``shifts``
@@ -370,29 +375,10 @@ class SkeletonSpace:
     def finite(self) -> bool:
         return all(not nd.is_omega for nd in self.nodes)
 
-    @cached_property
-    def memo(self) -> dict:
-        """The symbolic deciders' results on this space and its Config
-        layouts, keyed by a tag and template counts or group kinds (not by a
-        SymbolicSet, whose hash walks the space)."""
-        return {}
-
-    def recall(self, key, compute):
-        """``compute()``, memoized under ``key``.  A SymbolicIncomplete or
-        SymbolicAmbiguity is memoized too and raised again on each lookup,
-        so an Unknown never turns definite.  The operators of ``operator``,
-        the pre-theta closure included, raise neither on a public set: it
-        has no indeterminate (``_FIN0``) group."""
-        memo = self.memo
-        if key not in memo:
-            try:
-                memo[key] = compute()
-            except (SymbolicIncomplete, SymbolicAmbiguity) as exc:
-                memo[key] = exc
-        value = memo[key]
-        if isinstance(value, Exception):
-            raise value.with_traceback(None)
-        return value
+    # One memo contract for both kinds of space: results only, and nothing
+    # stored when ``compute`` raises.
+    memo = FiniteSpace.memo
+    recall = FiniteSpace.recall
 
     def classify(self, t: "SymbolicSet") -> ClassFlags:
         """The class flags of a template (``sym_classify``), memoized."""
@@ -407,10 +393,7 @@ class SkeletonSpace:
     def layout(self, kinds: tuple) -> "_Layout":
         """The value layout of a Config whose groups have these kinds,
         memoized under ``("layout", kinds)`` with its segment tables."""
-        key = ("layout", kinds)
-        if key not in self.memo:
-            self.memo[key] = _Layout(self, kinds)
-        return self.memo[key]
+        return self.recall(("layout", kinds), lambda: _Layout(self, kinds))
 
     def __str__(self):
         parts = []
@@ -584,7 +567,7 @@ class _Layout:
     holds the lowest bit of each field of node i, so a pattern times it is
     that pattern on every group of node i.  ``full`` fills every field;
     ``sure`` covers the fields of groups whose copies exist, ``unsure``
-    those of groups whose copies may not (``_FIN0``), ``counted`` both.
+    those of groups whose copies may not (``_FIN0``).
     """
 
     def __init__(self, space: SkeletonSpace, kinds: tuple):
@@ -608,7 +591,6 @@ class _Layout:
                 elif kind == _UNSURE:
                     self.unsure |= nd.full_pattern << off
             start = end
-        self.counted = self.sure | self.unsure
 
     def _segment_tables(self, tables) -> tuple:
         return tuple((start, span, _Segments(self, j, tables))
@@ -784,24 +766,6 @@ class Config:
         if outside & self.layout.unsure:
             raise SymbolicAmbiguity("subset test on indeterminate count")
         return True
-
-    def equal(self, v1: int, v2: int) -> bool:
-        return self.subset(v1, v2) and self.subset(v2, v1)
-
-    def _untouched(self, value: int, what: str) -> bool:
-        """No group with copies has a bit of ``value``; the first group in
-        layout order (the lowest field) that has one decides, and an
-        indeterminate one raises."""
-        hit = value & self.layout.counted
-        if hit & -hit & self.layout.unsure:
-            raise SymbolicAmbiguity(what)
-        return not hit
-
-    def is_empty(self, value: int) -> bool:
-        return self._untouched(value, "emptiness on indeterminate count")
-
-    def is_full(self, value: int) -> bool:
-        return self._untouched(value ^ self.full, "fullness on indeterminate count")
 
     def to_set(self, value: int) -> SymbolicSet:
         """The symbolic set of ``value``, in canonical form: groups with no

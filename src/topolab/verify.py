@@ -43,8 +43,6 @@ from topolab.properties import (
 from topolab.skeleton import (
     SkeletonError,
     SkeletonSpace,
-    SymbolicAmbiguity,
-    SymbolicIncomplete,
     SymbolicSet,
     catalog,
     format_skel,
@@ -655,15 +653,12 @@ def _t43():
 def _p41():
     def pred(space, inst):
         a = inst["sets"][0]
-        try:
-            flags = space.classify(a)
-            if flags.preopen:
-                if space.operator("pcl-theta", a) != space.operator("pcl", a):
-                    return False
-            if flags.preregular and not flags.pre_theta_closed:
+        flags = space.classify(a)
+        if flags.preopen:
+            if space.operator("pcl-theta", a) != space.operator("pcl", a):
                 return False
-        except SymbolicIncomplete:
-            return None
+        if flags.preregular and not flags.pre_theta_closed:
+            return False
         if flags.semi_open:
             if space.operator("pcl", a) != space.operator("cl", a):
                 return False
@@ -1085,23 +1080,17 @@ def _run_on_space(cid, label, space, seed, budget, exhaustive):
     unknowns = 0
     violations = []
     pred = _PREDS[cid]
-    try:
-        for inst in _GENS[cid](space, ctx):
-            checked += 1
-            try:
-                ok = pred(space, inst)
-            except (SymbolicIncomplete, SymbolicAmbiguity):
-                ok = None
-            if ok is None:
-                unknowns += 1
-            elif ok is False:
-                violations.append({
-                    "space": space_to_json(space),
-                    "label": label,
-                    "instance": _instance_json(space, inst),
-                })
-    except (SymbolicIncomplete, SymbolicAmbiguity):
-        unknowns += 1
+    for inst in _GENS[cid](space, ctx):
+        checked += 1
+        ok = pred(space, inst)
+        if ok is None:
+            unknowns += 1
+        elif ok is False:
+            violations.append({
+                "space": space_to_json(space),
+                "label": label,
+                "instance": _instance_json(space, inst),
+            })
     return checked, violations, unknowns
 
 

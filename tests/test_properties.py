@@ -465,33 +465,47 @@ def test_flagged_sets_are_the_scan_memoized():
             assert flagged(sp, field.name) is got
 
 
-def test_raised_saturation_is_memoized_as_unknown(monkeypatch):
-    import topolab.skeleton as S
-    from topolab.skeleton import SymbolicIncomplete
+def test_memos_hold_results_and_ambiguity_stays_in_the_separation_search(monkeypatch):
+    """From cold memos, every operator and the class flags of every
+    template, and every property, leave only results in the memo: no
+    exception reaches ``recall``.  The one search that meets an
+    indeterminate count, the separation search of the p-regularity trio,
+    catches every ``SymbolicAmbiguity`` itself."""
+    import topolab.properties as P
+    from topolab.core import OPERATORS
+    from topolab.skeleton import SymbolicAmbiguity, all_symbolic_sets
 
-    space = parse_skel(format_skel(catalog("excluded-point-omega").space))
-    t_class = SymbolicSet.from_names(space, {"t": {(0,): INF}})
-    calls = []
+    raised = Counter()  # by whether the separation search was running
+    searching = [0]
+    real_search = P._exists_separating_preopen
 
-    def incomplete(sp, op, t):
-        calls.append((op, t.counts))
-        raise SymbolicIncomplete("pre-theta search budget exceeded")
+    def search(*args):
+        searching[0] += 1
+        try:
+            return real_search(*args)
+        finally:
+            searching[0] -= 1
 
-    monkeypatch.setattr(S, "sym_operator", incomplete)
-    first = check_cover_relative(space, t_class, "p-closed")
-    assert first.outcome is None
-    assert calls and len(calls) == len(set(calls))
-    with pytest.raises(SymbolicIncomplete):
-        space.operator("pcl", t_class)
-    monkeypatch.undo()
-    # the stored failure is raised again, never replaced by a definite verdict
-    with pytest.raises(SymbolicIncomplete):
-        space.operator("pcl", t_class)
-    second = check_cover_relative(space, t_class, "p-closed")
-    assert second.to_json() == first.to_json()
-    fresh = parse_skel(format_skel(space))
-    t_fresh = SymbolicSet(fresh, t_class.counts)
-    assert check_cover_relative(fresh, t_fresh, "p-closed").outcome is False
+    def counting_init(self, *args):
+        raised[searching[0] > 0] += 1
+        RuntimeError.__init__(self, *args)
+
+    monkeypatch.setattr(P, "_exists_separating_preopen", search)
+    monkeypatch.setattr(SymbolicAmbiguity, "__init__", counting_init)
+    spaces = ([parse_skel(format_skel(catalog(name).space)) for name in CATALOG_SKELETONS]
+              + omega_skeletons(seed=3, count=30))
+    for sk in spaces:
+        for t in all_symbolic_sets(sk):
+            sk.classify(t)
+            for op in OPERATORS:
+                sk.operator(op, t)
+        for prop in COVER_PROPERTIES:
+            check_cover(sk, prop)
+        for prop in SIMPLE_PROPERTIES:
+            check_simple(sk, prop)
+        assert not [key for key, value in sk.memo.items()
+                    if isinstance(value, BaseException)], format_skel(sk)
+    assert raised[True] >= 1 and not raised[False], raised
 
 
 def _saturations_per_key(monkeypatch, cid):

@@ -21,6 +21,7 @@ from topolab.core import (
     numeral,
     parse_topo,
     points_of,
+    signed_numeral,
 )
 from topolab.properties import (
     COVER_PROPERTIES,
@@ -349,7 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="operators, property checks and claim verification for "
                     "finite and finitely-presented topological spaces",
     )
-    default_seed = int(os.environ.get("TOPOLAB_SEED", "0"))
+    default_seed = signed_numeral(os.environ.get("TOPOLAB_SEED", "0"))
+    if default_seed is None:
+        raise CliError("TOPOLAB_SEED must be an integer in ASCII digits, "
+                       "with an optional leading '-'")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("ops", help="apply set operators")
@@ -414,9 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -53,6 +53,14 @@ def numeral(text: str) -> int | None:
         return None
 
 
+def signed_numeral(text: str) -> int | None:
+    """``numeral`` with an optional leading ``-``."""
+    if text.startswith("-"):
+        value = numeral(text[1:])
+        return None if value is None else -value
+    return numeral(text)
+
+
 def points_of(mask: int) -> tuple[int, ...]:
     return tuple(bits(mask))
 
@@ -554,10 +562,9 @@ def parse_topo(text: str) -> FiniteSpace:
         elif parts[0] == "open":
             if n is None:
                 raise TopologyError(f"line {lineno}: 'open' before 'points'")
-            try:
-                pts = [int(t) for t in parts[1:]]
-            except ValueError:
-                raise TopologyError(f"line {lineno}: non-integer point label") from None
+            pts = [numeral(t) for t in parts[1:]]
+            if None in pts:
+                raise TopologyError(f"line {lineno}: non-integer point label")
             fam.add(mask_of(pts, n))
         else:
             raise TopologyError(f"line {lineno}: unknown directive {parts[0]!r}")

@@ -302,9 +302,9 @@ def _check_relative_uncached(space: SkeletonSpace, s: SymbolicSet,
 
 
 def smoke_test_witness(space: SkeletonSpace, cp: CoverProperty, witness: dict,
-                       omega_size: int = 6, subfamily: int = 2) -> bool:
-    """Instantiate an escape witness on a finite probe and verify that a
-    greedily chosen saturated subfamily of the induced cover leaves probe
+                       omega_size: int = 6) -> bool:
+    """Instantiate an escape witness on a finite probe and verify that two
+    greedily chosen saturated members of the induced cover leave probe
     points of the escape class uncovered.  A smoke test, not a proof."""
     probe = finite_probe(space, omega_size)
     fs, labels = expand(probe)
@@ -346,7 +346,7 @@ def smoke_test_witness(space: SkeletonSpace, cp: CoverProperty, witness: dict,
         if ni == pi_i and el == pi["elem"]:
             target |= 1 << idx
     covered = 0
-    for _ in range(subfamily):
+    for _ in range(2):
         best, gain = None, -1
         for v in cover:
             g = bin(_saturate(fs, cp.saturation, v) & target & ~covered).count("1")

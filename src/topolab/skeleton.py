@@ -194,10 +194,8 @@ class SkeletonSpace:
 
     # -- the probe rows and the class masks read from them -----------------
 
-    def probe_copies(self, omega_copies: int = 3) -> tuple[int, ...]:
-        return tuple(
-            omega_copies if nd.is_omega else min(nd.card, 3) for nd in self.nodes
-        )
+    def probe_copies(self) -> tuple[int, ...]:
+        return tuple(3 if nd.is_omega else min(nd.card, 3) for nd in self.nodes)
 
     def _points(self, copies):
         """The points (node, copy, element) of the realization with
@@ -1089,10 +1087,9 @@ def finite_probe(space: SkeletonSpace, omega_size: int = 6) -> SkeletonSpace:
     return SkeletonSpace(nodes, space.rels)
 
 
-def probe_set(space: SkeletonSpace, probe: SkeletonSpace, a: SymbolicSet,
-              fin_n: int = 1) -> SymbolicSet:
-    """Instantiate a symbolic set on a finite probe: FIN -> fin_n copies,
-    INF classes share the remaining copies."""
+def probe_set(space: SkeletonSpace, probe: SkeletonSpace, a: SymbolicSet) -> SymbolicSet:
+    """Instantiate a symbolic set on a finite probe: FIN -> 1 copy, INF
+    classes share the remaining copies."""
     counts = []
     for nd, probe_nd, pairs in zip(space.nodes, probe.nodes, a.counts):
         if not nd.is_omega:
@@ -1102,7 +1099,7 @@ def probe_set(space: SkeletonSpace, probe: SkeletonSpace, a: SymbolicSet,
         inf_pats = [p for p, c in pairs if c == INF]
         for p, c in pairs:
             if c == FIN:
-                sizes[p] = fin_n
+                sizes[p] = 1
         free = probe_nd.card - sum(sizes.values())
         if free < len(inf_pats):
             raise SkeletonError("probe too small for this set")
@@ -1125,12 +1122,15 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def all_symbolic_sets(space: SkeletonSpace, cap: int = 200_000) -> tuple:
+TEMPLATE_CAP = 200_000
+
+
+def all_symbolic_sets(space: SkeletonSpace) -> tuple:
     """Every symbolic set of the skeleton (the template space).
 
     Finite nodes contribute exact-count partitions; omega nodes contribute
     ZERO/FIN/INF assignments with at least one INF.  Raises
-    SkeletonOverflow beyond ``cap`` templates.
+    SkeletonOverflow beyond ``TEMPLATE_CAP`` templates.
     """
     per_node = []
     total = 1
@@ -1150,9 +1150,9 @@ def all_symbolic_sets(space: SkeletonSpace, cap: int = 200_000) -> tuple:
                 )
         per_node.append(options)
         total *= len(options)
-        if total > cap:
+        if total > TEMPLATE_CAP:
             raise SkeletonOverflow(
-                f"template space of size >= {total} exceeds cap {cap}"
+                f"template space of size >= {total} exceeds cap {TEMPLATE_CAP}"
             )
     return tuple(
         SymbolicSet(space, combo) for combo in itertools.product(*per_node)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,6 +30,8 @@ from topolab.core import (
     mask_of,
     numeral,
     points_of,
+    product,
+    signed_numeral,
     up_sets,
 )
 from topolab.properties import (
@@ -221,14 +224,11 @@ class Universe:
         kind, *fields = text.split(":")
         if kind == "catalog" and not fields:
             return Universe("catalog")
-        sign = 1
-        if kind == "sampled" and len(fields) == 3 and fields[1].startswith("-"):
-            sign, fields[1] = -1, fields[1][1:]
         values = [numeral(f) for f in fields]
+        if kind == "sampled" and len(fields) == 3:
+            values[1] = signed_numeral(fields[1])
         if None in values or (kind, len(values)) not in (("exhaustive", 1), ("sampled", 3)):
             raise ValueError(f"bad universe spec {text!r}")
-        if kind == "sampled":
-            values[1] *= sign
         universe = Universe(kind, *values)
         if not 1 <= universe.n <= 5:
             raise ValueError(f"universe {text!r}: n must be 1..5")
@@ -383,6 +383,31 @@ def _bool3_and(*vals):
     return True
 
 
+def _implies(hypothesis, conclusion):
+    """Three-valued implication: a False hypothesis gives True, an Unknown
+    (None) one gives None without calling ``conclusion``, and a True one
+    gives ``conclusion()``."""
+    if hypothesis is None:
+        return None
+    return conclusion() if hypothesis else True
+
+
+def _every(values):
+    """Three-valued "for all" over lazily read values: the first that is
+    not True (False, or None for Unknown) decides, else True."""
+    for v in values:
+        if v is not True:
+            return v
+    return True
+
+
+def _same(a, b):
+    """Unknown-aware equality: None if either side is None, else a == b."""
+    if a is None or b is None:
+        return None
+    return a == b
+
+
 def _complement(space, a):
     if isinstance(space, FiniteSpace):
         return space.full ^ a
@@ -419,29 +444,64 @@ def subspace_p_closed(space, a):
     return None
 
 
+def _split_forces_p_closed(space, flag, verdict):
+    """Whether a proper set with the class ``flag`` and its complement, both
+    p-closed by ``verdict``, force the space p-closed: the first such split
+    gives the space's p-closedness, an Unknown met first gives Unknown, and
+    no split gives True."""
+    for a in flagged(space, flag):
+        if _trivial(space, a):
+            continue
+        v1 = verdict(space, a)
+        v2 = verdict(space, _complement(space, a))
+        if v1 is True and v2 is True:
+            return _cover_outcome(space, "p-closed")
+        if v1 is None or v2 is None:
+            return None
+    return True
+
+
 # -- claim registry ---------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Claim:
+    """A claim and everything the runner needs of it.  A claim about single
+    universe members has ``gen(space, ctx)``, which yields its instances on
+    a member, and ``pred(space, inst)``, which judges one: True, False, or
+    None for Unknown.  A claim about a universe as a whole has
+    ``run(universe)`` instead, returning ``(checked, violations, unknowns,
+    extra)``.  ``summary(universe)``, if set, adds to a report's extra."""
+
     id: str
     description: str
     kinds: tuple  # subset of ("finite", "skeleton", "universe")
     expected_status: str = "theorem"
+    gen: Callable | None = None
+    pred: Callable | None = None
+    run: Callable | None = None
+    summary: Callable | None = None
 
 
 CLAIMS: dict[str, Claim] = {}
-_GENS = {}
-_PREDS = {}
 
 
-def _claim(cid, description, kinds, expected_status="theorem"):
-    def deco(fn_pair):
-        gen, pred = fn_pair()
-        CLAIMS[cid] = Claim(cid, description, kinds, expected_status)
-        _GENS[cid] = gen
-        _PREDS[cid] = pred
-        return fn_pair
+def _claim(cid, description, kinds, gen, **fields):
+    """Register the decorated ``pred(space, inst)`` as claim ``cid``, with
+    its instance generator ``gen``."""
+    def deco(pred):
+        CLAIMS[cid] = Claim(cid, description, kinds, gen=gen, pred=pred, **fields)
+        return pred
+
+    return deco
+
+
+def _universe_claim(cid, description):
+    """Register the decorated ``run(universe)`` as claim ``cid``, which is
+    about a universe as a whole."""
+    def deco(run):
+        CLAIMS[cid] = Claim(cid, description, ("universe",), run=run)
+        return run
 
     return deco
 
@@ -500,538 +560,472 @@ def _maps(onto: bool):
 
 
 @_claim("T1", "qhc and strongly-irresolvable imply p-closed",
-        ("finite", "skeleton"))
-def _t1():
-    def pred(space, inst):
-        qhc = _cover_outcome(space, "qhc")
-        si = check_simple(space, "strongly-irresolvable")
-        h = _bool3_and(qhc, si)
-        if h is False:
-            return True
-        pc = _cover_outcome(space, "p-closed")
-        if h is None or pc is None:
-            return None
-        return pc
-
-    return _whole_space_gen, pred
+        ("finite", "skeleton"), _whole_space_gen)
+def _t1(space, inst):
+    h = _bool3_and(_cover_outcome(space, "qhc"),
+                   check_simple(space, "strongly-irresolvable"))
+    return _implies(h, lambda: _cover_outcome(space, "p-closed"))
 
 
 @_claim("C1", "for strongly-irresolvable or submaximal spaces, "
-              "p-closed and qhc coincide", ("finite", "skeleton"))
-def _c1():
-    def pred(space, inst):
-        h = check_simple(space, "strongly-irresolvable") or check_simple(
-            space, "submaximal")
-        if not h:
-            return True
-        pc = _cover_outcome(space, "p-closed")
-        qhc = _cover_outcome(space, "qhc")
-        if pc is None or qhc is None:
-            return None
-        return pc == qhc
-
-    return _whole_space_gen, pred
+              "p-closed and qhc coincide", ("finite", "skeleton"), _whole_space_gen)
+def _c1(space, inst):
+    if not (check_simple(space, "strongly-irresolvable")
+            or check_simple(space, "submaximal")):
+        return True
+    return _same(_cover_outcome(space, "p-closed"), _cover_outcome(space, "qhc"))
 
 
 @_claim("T2", "p-closed t0 spaces are strongly irresolvable",
-        ("finite", "skeleton"))
-def _t2():
-    def pred(space, inst):
-        pc = _cover_outcome(space, "p-closed")
-        t0 = check_simple(space, "t0")
-        h = _bool3_and(pc, t0)
-        if h is False:
-            return True
-        if h is None:
-            return None
-        return check_simple(space, "strongly-irresolvable")
-
-    return _whole_space_gen, pred
+        ("finite", "skeleton"), _whole_space_gen)
+def _t2(space, inst):
+    h = _bool3_and(_cover_outcome(space, "p-closed"), check_simple(space, "t0"))
+    return _implies(h, lambda: check_simple(space, "strongly-irresolvable"))
 
 
 @_claim("T3", "on t0 spaces: p-closed iff qhc and strongly irresolvable",
-        ("finite", "skeleton"))
-def _t3():
-    def pred(space, inst):
-        if not check_simple(space, "t0"):
-            return True
-        pc = _cover_outcome(space, "p-closed")
-        qhc = _cover_outcome(space, "qhc")
-        if pc is None or qhc is None:
-            return None
-        return pc == (qhc and check_simple(space, "strongly-irresolvable"))
-
-    return _whole_space_gen, pred
+        ("finite", "skeleton"), _whole_space_gen)
+def _t3(space, inst):
+    if not check_simple(space, "t0"):
+        return True
+    pc = _cover_outcome(space, "p-closed")
+    qhc = _cover_outcome(space, "qhc")
+    if _same(pc, qhc) is None:
+        return None
+    return pc == (qhc and check_simple(space, "strongly-irresolvable"))
 
 
 @_claim("T4", "p-closed plus aleph0-ed gives nearly compact; "
               "plus extremally disconnected gives s-closed",
-        ("finite", "skeleton"))
-def _t4():
-    def pred(space, inst):
-        pc = _cover_outcome(space, "p-closed")
-        if pc is False:
-            return True
-        if pc is None:
-            return None
+        ("finite", "skeleton"), _whole_space_gen)
+def _t4(space, inst):
+    """An Unknown conclusion decides even after a False one: the two
+    conclusions are read in order, and the first Unknown gives Unknown."""
+    def conclusion():
         ok = True
-        if check_simple(space, "aleph0-ed"):
-            nc = _cover_outcome(space, "nearly-compact")
-            if nc is None:
-                return None
-            ok = ok and nc
-        if check_simple(space, "extremally-disconnected"):
-            sc = _cover_outcome(space, "s-closed")
-            if sc is None:
-                return None
-            ok = ok and sc
+        for flag, prop in (("aleph0-ed", "nearly-compact"),
+                           ("extremally-disconnected", "s-closed")):
+            if check_simple(space, flag):
+                v = _cover_outcome(space, prop)
+                if v is None:
+                    return None
+                ok = ok and v
         return ok
 
-    return _whole_space_gen, pred
+    return _implies(_cover_outcome(space, "p-closed"), conclusion)
 
 
-@_claim("T41", "the four faces of p-closedness agree", ("finite",))
-def _t41():
-    def gen(space, ctx):
-        # clause (c) is exhaustive over principal bases everywhere; raw
-        # antichain-generated bases are sampled on carriers of 4+ points
-        yield {"samples": flt.SAMPLED_BASES if space.n >= 4 else 0}
+def _t41_instances(space, ctx):
+    # clause (c) is exhaustive over principal bases everywhere; raw
+    # antichain-generated bases are sampled on carriers of 4+ points
+    yield {"samples": flt.SAMPLED_BASES if space.n >= 4 else 0}
 
-    def pred(space, inst):
-        rng = random.Random(f"t41|{space.opens}")
-        a, b, c, d = flt.check_t41(space, rng, samples=inst.get("samples", 0))
-        return a == b == c == d
 
-    return gen, pred
+def _t41_clause_c_note(universe) -> dict:
+    """How clause (c) was checked, on a universe of carriers of 4+ points."""
+    if universe.kind in ("exhaustive", "sampled") and (universe.n or 0) >= 4:
+        return {"clause_c": "exhaustive over principal bases; antichain-generated "
+                f"bases sampled ({flt.SAMPLED_BASES} draws per space, each "
+                "checked whole)"}
+    return {}
+
+
+@_claim("T41", "the four faces of p-closedness agree", ("finite",),
+        _t41_instances, summary=_t41_clause_c_note)
+def _t41(space, inst):
+    rng = random.Random(f"t41|{space.opens}")
+    a, b, c, d = flt.check_t41(space, rng, samples=inst.get("samples", 0))
+    return a == b == c == d
+
+
+# each rung: a p-regularity and the compactness it gives a p-closed space
+T42_LADDER = (
+    ("strongly-p-regular", "strongly-compact"),
+    ("p-regular", "compact"),
+    ("almost-p-regular", "nearly-compact"),
+)
 
 
 @_claim("T42", "p-closed plus the p-regularity ladder gives the "
-               "compactness ladder", ("finite", "skeleton"))
-def _t42():
-    ladder = (
-        ("strongly-p-regular", "strongly-compact"),
-        ("p-regular", "compact"),
-        ("almost-p-regular", "nearly-compact"),
-    )
-
-    def pred(space, inst):
-        pc = _cover_outcome(space, "p-closed")
-        if pc is False:
-            return True
-        if pc is None:
-            return None
-        for reg, comp in ladder:
-            if check_simple(space, reg):
-                v = _cover_outcome(space, comp)
-                if v is None:
-                    return None
-                if not v:
-                    return False
-        return True
-
-    return _whole_space_gen, pred
+               "compactness ladder", ("finite", "skeleton"), _whole_space_gen)
+def _t42(space, inst):
+    """The first rung whose regularity holds and whose compactness is not
+    True decides."""
+    return _implies(_cover_outcome(space, "p-closed"), lambda: _every(
+        _cover_outcome(space, comp) for reg, comp in T42_LADDER
+        if check_simple(space, reg)))
 
 
-@_claim("T43", "the four relative faces agree for every subset", ("finite",))
-def _t43():
-    def gen(space, ctx):
-        for s in _subsets(space, ctx):
-            yield {"sets": [s], "samples": 30}
+def _t43_instances(space, ctx):
+    for s in _subsets(space, ctx):
+        yield {"sets": [s], "samples": 30}
 
-    def pred(space, inst):
-        s = inst["sets"][0]
-        rng = random.Random(f"t43|{space.opens}|{s}")
-        a, b, c, d = flt.check_t43(space, s, rng, samples=inst.get("samples", 0))
-        return a == b == c == d
 
-    return gen, pred
+@_claim("T43", "the four relative faces agree for every subset", ("finite",),
+        _t43_instances)
+def _t43(space, inst):
+    s = inst["sets"][0]
+    rng = random.Random(f"t43|{space.opens}|{s}")
+    a, b, c, d = flt.check_t43(space, s, rng, samples=inst.get("samples", 0))
+    return a == b == c == d
 
 
 @_claim("P41", "preopen sets have pre-theta-closure equal to preclosure; "
                "preregular sets are pre-theta-closed; semi-open sets have "
-               "preclosure equal to closure", ("finite", "skeleton"))
-def _p41():
-    def pred(space, inst):
-        a = inst["sets"][0]
-        flags = space.classify(a)
-        if flags.preopen:
-            if space.operator("pcl-theta", a) != space.operator("pcl", a):
-                return False
-        if flags.preregular and not flags.pre_theta_closed:
+               "preclosure equal to closure", ("finite", "skeleton"), _sets())
+def _p41(space, inst):
+    a = inst["sets"][0]
+    flags = space.classify(a)
+    if flags.preopen:
+        if space.operator("pcl-theta", a) != space.operator("pcl", a):
             return False
-        if flags.semi_open:
-            if space.operator("pcl", a) != space.operator("cl", a):
-                return False
-        return True
-
-    return _sets(), pred
+    if flags.preregular and not flags.pre_theta_closed:
+        return False
+    if flags.semi_open:
+        if space.operator("pcl", a) != space.operator("cl", a):
+            return False
+    return True
 
 
 @_claim("L2A", "preopen intersected with semi-open is preopen in the "
                "subspace; preopen in a preopen subspace is preopen",
-        ("finite",))
-def _l2a():
-    def pred(space, inst):
-        a, b = inst["sets"]
-        ok = True
-        if b:
-            fa = space.classify(a)
-            fb = space.classify(b)
-            sub, relabel = space.subspace(b)
-            if fa.preopen and fb.semi_open:
-                ok = ok and sub.classify(_sub_mask(relabel, a & b)).preopen
-            if fb.preopen and a & ~b == 0:
-                if sub.classify(_sub_mask(relabel, a)).preopen:
-                    ok = ok and space.classify(a).preopen
-        return ok
-
-    return _pairs, pred
+        ("finite",), _pairs)
+def _l2a(space, inst):
+    a, b = inst["sets"]
+    ok = True
+    if b:
+        fa = space.classify(a)
+        fb = space.classify(b)
+        sub, relabel = space.subspace(b)
+        if fa.preopen and fb.semi_open:
+            ok = ok and sub.classify(_sub_mask(relabel, a & b)).preopen
+        if fb.preopen and a & ~b == 0:
+            if sub.classify(_sub_mask(relabel, a)).preopen:
+                ok = ok and space.classify(a).preopen
+    return ok
 
 
 @_claim("L2", "relative preclosure inside a semi-open subspace is below "
-              "the ambient preclosure", ("finite",), expected_status="empirical")
-def _l2():
-    def pred(space, inst):
-        a, b = inst["sets"]  # the semi-open superset, the subset
-        if not a or b & ~a or not space.classify(a).semi_open:
-            return True
-        sub, relabel = space.subspace(a)
-        pcl_rel = _parent_mask(relabel, sub.preclosure(_sub_mask(relabel, b)))
-        return pcl_rel & ~space.preclosure(b) == 0
+              "the ambient preclosure", ("finite",), _pairs,
+        expected_status="empirical")
+def _l2(space, inst):
+    a, b = inst["sets"]  # the semi-open superset, the subset
+    if not a or b & ~a or not space.classify(a).semi_open:
+        return True
+    sub, relabel = space.subspace(a)
+    pcl_rel = _parent_mask(relabel, sub.preclosure(_sub_mask(relabel, b)))
+    return pcl_rel & ~space.preclosure(b) == 0
 
-    return _pairs, pred
+
+def _l3_inclusions(space, sub, relabel, a_sub):
+    """Both inclusions between the ambient preclosure of ``a_sub``, a set
+    of the subspace ``sub`` on the points ``relabel``, and its preclosure
+    relative to ``sub``: ambient below relative (as L3 states it), and
+    relative below ambient (reversed)."""
+    pcl = space.preclosure(_parent_mask(relabel, a_sub))
+    pcl_rel = _parent_mask(relabel, sub.preclosure(a_sub))
+    return pcl & ~pcl_rel == 0, pcl_rel & ~pcl == 0
+
+
+def _l3_direction_summary(universe: Universe) -> dict:
+    """Empirical directions for the relative-preclosure comparison: the
+    reversed inclusion, and the stated one restricted to preregular
+    ambient sets."""
+    reversed_bad = 0
+    restricted_bad = 0
+    minimal = None
+    for label, sp in universe.spaces():
+        if not isinstance(sp, FiniteSpace):
+            continue
+        for b in range(sp.full + 1):
+            fb = sp.classify(b)
+            if not b or not fb.preopen:
+                continue
+            sub, relabel = sp.subspace(b)
+            for a_sub in range(sub.full + 1):
+                if not sub.classify(a_sub).preopen:
+                    continue
+                stated, rev = _l3_inclusions(sp, sub, relabel, a_sub)
+                if not rev:
+                    reversed_bad += 1
+                if fb.preregular and not stated:
+                    restricted_bad += 1
+                if not stated and minimal is None:
+                    a = _parent_mask(relabel, a_sub)
+                    minimal = {
+                        "space": space_to_json(sp),
+                        "subsets": [list(points_of(a)), list(points_of(b))],
+                    }
+    return {
+        "reversed_direction_violations": reversed_bad,
+        "preregular_restricted_violations": restricted_bad,
+        "minimal_stated_counterexample": minimal,
+    }
 
 
 @_claim("L3", "ambient preclosure of a relatively preopen set is below its "
-              "relative preclosure in a preopen subspace", ("finite",),
-        expected_status="empirical")
-def _l3():
-    def pred(space, inst):
-        a, b = inst["sets"]  # the subset, the preopen superset
-        if not b or a & ~b or not space.classify(b).preopen:
-            return True
-        sub, relabel = space.subspace(b)
-        if not sub.classify(_sub_mask(relabel, a)).preopen:
-            return True
-        pcl_rel = _parent_mask(relabel, sub.preclosure(_sub_mask(relabel, a)))
-        return space.preclosure(a) & ~pcl_rel == 0
-
-    return _pairs, pred
+              "relative preclosure in a preopen subspace", ("finite",), _pairs,
+        expected_status="empirical", summary=_l3_direction_summary)
+def _l3(space, inst):
+    a, b = inst["sets"]  # the subset, the preopen superset
+    if not b or a & ~b or not space.classify(b).preopen:
+        return True
+    sub, relabel = space.subspace(b)
+    a_sub = _sub_mask(relabel, a)
+    if not sub.classify(a_sub).preopen:
+        return True
+    return _l3_inclusions(space, sub, relabel, a_sub)[0]
 
 
 @_claim("LP1", "preirresolute (precontinuous) maps are exactly those "
                "shrinking preclosures into preclosures (closures)",
-        ("finite",))
-def _lp1():
-    def pred(space, inst):
-        cod = inst["codomain"]
-        f = SpaceMap(space, cod, tuple(inst["assignment"]))
-        flags = map_classify(f)
-        shrink_pcl = all(
-            f.image(space.preclosure(a)) & ~cod.preclosure(f.image(a)) == 0
-            for a in range(space.full + 1)
-        )
-        shrink_cl = all(
-            f.image(space.preclosure(a)) & ~cod.closure(f.image(a)) == 0
-            for a in range(space.full + 1)
-        )
-        return flags.preirresolute == shrink_pcl and flags.precontinuous == shrink_cl
-
-    return _maps(onto=False), pred
+        ("finite",), _maps(onto=False))
+def _lp1(space, inst):
+    cod = inst["codomain"]
+    f = SpaceMap(space, cod, tuple(inst["assignment"]))
+    flags = map_classify(f)
+    shrink_pcl = all(
+        f.image(space.preclosure(a)) & ~cod.preclosure(f.image(a)) == 0
+        for a in range(space.full + 1)
+    )
+    shrink_cl = all(
+        f.image(space.preclosure(a)) & ~cod.closure(f.image(a)) == 0
+        for a in range(space.full + 1)
+    )
+    return flags.preirresolute == shrink_pcl and flags.precontinuous == shrink_cl
 
 
 @_claim("T5", "a hyperdisconnected space whose proper semi-regular "
-              "subspaces are all p-closed is p-closed", ("finite", "skeleton"))
-def _t5():
-    def pred(space, inst):
-        if not check_simple(space, "hyperdisconnected"):
-            return True
-        for a in flagged(space, "semi_regular"):
-            if _trivial(space, a):
-                continue
-            sub_pc = subspace_p_closed(space, a)
-            if sub_pc is None:
-                return None
-            if sub_pc is False:
-                return True  # the hypothesis fails
-        return _cover_outcome(space, "p-closed")
-
-    return _whole_space_gen, pred
+              "subspaces are all p-closed is p-closed", ("finite", "skeleton"),
+        _whole_space_gen)
+def _t5(space, inst):
+    if not check_simple(space, "hyperdisconnected"):
+        return True
+    h = _every(subspace_p_closed(space, a) for a in flagged(space, "semi_regular")
+               if not _trivial(space, a))
+    return _implies(h, lambda: _cover_outcome(space, "p-closed"))
 
 
 @_claim("T6", "a proper semi-regular split into two p-closed subspaces "
-              "forces p-closedness", ("finite", "skeleton"))
-def _t6():
-    def pred(space, inst):
-        for a in flagged(space, "semi_regular"):
-            if _trivial(space, a):
-                continue
-            pc1 = subspace_p_closed(space, a)
-            pc2 = subspace_p_closed(space, _complement(space, a))
-            if pc1 is True and pc2 is True:
-                return _cover_outcome(space, "p-closed")
-            if pc1 is None or pc2 is None:
-                return None
-        return True
-
-    return _whole_space_gen, pred
+              "forces p-closedness", ("finite", "skeleton"), _whole_space_gen)
+def _t6(space, inst):
+    return _split_forces_p_closed(space, "semi_regular", subspace_p_closed)
 
 
 @_claim("T7", "preregular subsets of p-closed spaces are p-closed "
-              "subspaces", ("finite", "skeleton"))
-def _t7():
-    def pred(space, inst):
-        a = inst["sets"][0]
-        if not space.classify(a).preregular:
-            return True
-        pc = _cover_outcome(space, "p-closed")
-        if pc is False:
-            return True
-        if pc is None:
-            return None
-        return subspace_p_closed(space, a)
-
-    return _sets("preregular", nonempty=True), pred
+              "subspaces", ("finite", "skeleton"), _sets("preregular", nonempty=True))
+def _t7(space, inst):
+    a = inst["sets"][0]
+    h = space.classify(a).preregular and _cover_outcome(space, "p-closed")
+    return _implies(h, lambda: subspace_p_closed(space, a))
 
 
-@_claim("TN1", "p-closed spaces are pre-theta-compact", ("finite", "skeleton"))
-def _tn1():
-    def pred(space, inst):
-        pc = _cover_outcome(space, "p-closed")
-        if pc is False:
-            return True
-        if pc is None:
-            return None
-        return _cover_outcome(space, "pre-theta-compact")
+@_claim("TN1", "p-closed spaces are pre-theta-compact", ("finite", "skeleton"),
+        _whole_space_gen)
+def _tn1(space, inst):
+    return _implies(_cover_outcome(space, "p-closed"),
+                    lambda: _cover_outcome(space, "pre-theta-compact"))
 
-    return _whole_space_gen, pred
+
+def _tn2_instances(space, ctx):
+    if isinstance(space, FiniteSpace):
+        yield from _pairs(space, ctx)
+        return
+    temps = classified_templates(space)
+    for t1 in flagged(space, "pre_theta_closed"):
+        for t2, _f2 in temps:
+            yield {"sets": [t1, t2]}
 
 
 @_claim("TN2", "a pre-theta-closed set meets a relatively p-closed set in "
-               "a relatively p-closed set", ("finite", "skeleton"))
-def _tn2():
-    def gen(space, ctx):
-        if isinstance(space, FiniteSpace):
-            yield from _pairs(space, ctx)
-            return
-        temps = classified_templates(space)
-        for t1 in flagged(space, "pre_theta_closed"):
-            for t2, _f2 in temps:
-                yield {"sets": [t1, t2]}
-
-    def pred(space, inst):
-        a, b = inst["sets"]
-        if isinstance(space, FiniteSpace):
-            if not space.classify(a).pre_theta_closed:
-                return True
-            if _relative_p_closed(space, b) is not True:
-                return True
-            return _relative_p_closed(space, a & b) is True
-        rel = _relative_p_closed(space, b)
-        if rel is False:
-            return True
-        if rel is None:
-            return None
-        # the intersection is not template-determined in general; decide
-        # through cardinality or triviality
-        if not b.has_infinite_part():
-            return True  # any intersection is finite, hence relatively p-closed
-        if a.is_empty():
-            return True
-        if a.is_full():
-            return True  # intersection is b itself, rel-p-closed by hypothesis
-        return None
-
-    return gen, pred
+               "a relatively p-closed set", ("finite", "skeleton"), _tn2_instances)
+def _tn2(space, inst):
+    a, b = inst["sets"]
+    if isinstance(space, FiniteSpace):
+        h = space.classify(a).pre_theta_closed and _relative_p_closed(space, b) is True
+        return _implies(h, lambda: _relative_p_closed(space, a & b) is True)
+    # the intersection is not template-determined in general; it is decided
+    # when it is finite (b has no infinite part), empty, or b itself
+    return _implies(_relative_p_closed(space, b), lambda: True if (
+        not b.has_infinite_part() or a.is_empty() or a.is_full()) else None)
 
 
 @_claim("C45", "pre-theta-closed sets of p-closed spaces are p-closed "
-               "relative to the space", ("finite", "skeleton"))
-def _c45():
-    def pred(space, inst):
-        a = inst["sets"][0]
-        if not space.classify(a).pre_theta_closed:
-            return True
-        pc = _cover_outcome(space, "p-closed")
-        if pc is False:
-            return True
-        if pc is None:
-            return None
-        return _relative_p_closed(space, a)
-
-    return _sets("pre_theta_closed"), pred
+               "relative to the space", ("finite", "skeleton"),
+        _sets("pre_theta_closed"))
+def _c45(space, inst):
+    a = inst["sets"][0]
+    h = space.classify(a).pre_theta_closed and _cover_outcome(space, "p-closed")
+    return _implies(h, lambda: _relative_p_closed(space, a))
 
 
 @_claim("TN3", "on predisconnected spaces: p-closed iff every preregular "
                "subset is p-closed relative to the space",
-        ("finite", "skeleton"))
-def _tn3():
-    def pred(space, inst):
-        if not check_simple(space, "predisconnected"):
-            return True
-        pc = _cover_outcome(space, "p-closed")
-        if pc is None:
-            return None
-        rhs = True
-        for a in flagged(space, "preregular"):
-            v = _relative_p_closed(space, a)
-            if v is None:
-                return None
-            if v is False:
-                rhs = False
-                break
-        return pc == rhs
-
-    return _whole_space_gen, pred
+        ("finite", "skeleton"), _whole_space_gen)
+def _tn3(space, inst):
+    if not check_simple(space, "predisconnected"):
+        return True
+    pc = _cover_outcome(space, "p-closed")
+    if pc is None:
+        return None
+    return _same(pc, _every(_relative_p_closed(space, a)
+                            for a in flagged(space, "preregular")))
 
 
 @_claim("TN4", "a proper preregular set and its complement both p-closed "
                "relative to the space force p-closedness",
-        ("finite", "skeleton"))
-def _tn4():
-    def pred(space, inst):
-        for a in flagged(space, "preregular"):
-            if _trivial(space, a):
-                continue
-            v1 = _relative_p_closed(space, a)
-            v2 = _relative_p_closed(space, _complement(space, a))
-            if v1 is True and v2 is True:
-                return _cover_outcome(space, "p-closed")
-            if v1 is None or v2 is None:
-                return None
-        return True
-
-    return _whole_space_gen, pred
+        ("finite", "skeleton"), _whole_space_gen)
+def _tn4(space, inst):
+    return _split_forces_p_closed(space, "preregular", _relative_p_closed)
 
 
 @_claim("TN5", "semi-open p-closed subspaces are p-closed relative to the "
-               "space", ("finite", "skeleton"))
-def _tn5():
-    def pred(space, inst):
-        a = inst["sets"][0]
-        if not space.classify(a).semi_open:
-            return True
-        sub_pc = subspace_p_closed(space, a)
-        if sub_pc is False:
-            return True
-        if sub_pc is None:
-            return None
-        return _relative_p_closed(space, a)
-
-    return _sets("semi_open", nonempty=True), pred
+               "space", ("finite", "skeleton"), _sets("semi_open", nonempty=True))
+def _tn5(space, inst):
+    a = inst["sets"][0]
+    h = space.classify(a).semi_open and subspace_p_closed(space, a)
+    return _implies(h, lambda: _relative_p_closed(space, a))
 
 
 @_claim("TN6", "preopen sets p-closed relative to the space are p-closed "
-               "subspaces", ("finite", "skeleton"))
-def _tn6():
-    def pred(space, inst):
-        a = inst["sets"][0]
-        if not space.classify(a).preopen:
-            return True
-        rel = _relative_p_closed(space, a)
-        if rel is False:
-            return True
-        if rel is None:
-            return None
-        return subspace_p_closed(space, a)
-
-    return _sets("preopen", nonempty=True), pred
+               "subspaces", ("finite", "skeleton"), _sets("preopen", nonempty=True))
+def _tn6(space, inst):
+    a = inst["sets"][0]
+    h = space.classify(a).preopen and _relative_p_closed(space, a)
+    return _implies(h, lambda: subspace_p_closed(space, a))
 
 
 @_claim("C-ALPHA", "for alpha-open sets: p-closed subspace iff p-closed "
-                   "relative to the space", ("finite", "skeleton"))
-def _c_alpha():
-    def pred(space, inst):
-        a = inst["sets"][0]
-        if not space.classify(a).alpha_open:
-            return True
-        sub_pc = subspace_p_closed(space, a)
-        rel = _relative_p_closed(space, a)
-        if sub_pc is None or rel is None:
-            return None
-        return sub_pc == rel
-
-    return _sets("alpha_open", nonempty=True), pred
+                   "relative to the space", ("finite", "skeleton"),
+        _sets("alpha_open", nonempty=True))
+def _c_alpha(space, inst):
+    a = inst["sets"][0]
+    if not space.classify(a).alpha_open:
+        return True
+    return _same(subspace_p_closed(space, a), _relative_p_closed(space, a))
 
 
 @_claim("T-IMG", "preirresolute (precontinuous) surjections push sets "
                  "p-closed relative to the domain to sets p-closed (qhc) "
-                 "relative to the codomain", ("finite",))
-def _t_img():
-    def pred(space, inst):
-        cod = inst["codomain"]
-        f = SpaceMap(space, cod, tuple(inst["assignment"]))
-        flags = map_classify(f)
-        if not (flags.preirresolute or flags.precontinuous):
-            return True
-        for k in range(space.full + 1):
-            if _relative_p_closed(space, k) is not True:
-                continue
-            img = f.image(k)
-            if flags.preirresolute:
-                if _relative_p_closed(cod, img) is not True:
-                    return False
-            if flags.precontinuous:
-                if check_cover_relative(cod, img, "qhc").outcome is not True:
-                    return False
+                 "relative to the codomain", ("finite",), _maps(onto=True))
+def _t_img(space, inst):
+    cod = inst["codomain"]
+    f = SpaceMap(space, cod, tuple(inst["assignment"]))
+    flags = map_classify(f)
+    if not (flags.preirresolute or flags.precontinuous):
         return True
-
-    return _maps(onto=True), pred
-
-
-@_claim("C-TOPINV", "p-closedness and its companions are topological "
-                    "invariants", ("universe",))
-def _c_topinv():
-    def gen(space, ctx):
-        yield {}
-
-    def pred(space, inst):
-        raise NotImplementedError("universe-level claim")
-
-    return gen, pred
+    for k in range(space.full + 1):
+        if _relative_p_closed(space, k) is not True:
+            continue
+        img = f.image(k)
+        if flags.preirresolute:
+            if _relative_p_closed(cod, img) is not True:
+                return False
+        if flags.precontinuous:
+            if check_cover_relative(cod, img, "qhc").outcome is not True:
+                return False
+    return True
 
 
-@_claim("C-PROD", "a p-closed finite product has p-closed factors",
-        ("universe",))
-def _c_prod():
-    def gen(space, ctx):
-        yield {}
+@_universe_claim("C-TOPINV", "p-closedness and its companions are "
+                             "topological invariants")
+def _c_topinv(universe):
+    checked = 0
+    violations = []
+    spaces = [sp for _l, sp in universe.spaces() if isinstance(sp, FiniteSpace)]
+    classes = homeomorphism_classes(spaces)
+    for cls in classes:
+        rep = spaces[cls[0]]
+        rep_simple = {p: check_simple(rep, p) for p in SIMPLE_PROPERTIES}
+        rep_cover = {p: check_cover(rep, p).outcome for p in COVER_PROPERTIES}
+        for i in cls[1:]:
+            checked += 1
+            sp = spaces[i]
+            same = all(
+                check_simple(sp, p) == rep_simple[p] for p in SIMPLE_PROPERTIES
+            ) and all(
+                check_cover(sp, p).outcome == rep_cover[p]
+                for p in COVER_PROPERTIES
+            )
+            if not same:
+                violations.append({
+                    "space": space_to_json(sp),
+                    "label": f"class-of-{cls[0]}",
+                    "instance": {"representative": space_to_json(rep)},
+                })
+        checked += 1
+    return checked, violations, 0, {"classes": len(classes)}
 
-    def pred(space, inst):
-        raise NotImplementedError("universe-level claim")
 
-    return gen, pred
+@_universe_claim("C-PROD", "a p-closed finite product has p-closed factors")
+def _c_prod(universe):
+    checked = 0
+    violations = []
+    unknowns = 0
+    extra = {}
+    finites = [sp for _l, sp in universe.spaces()
+               if isinstance(sp, FiniteSpace) and sp.n <= 3]
+    rng = random.Random(17)
+    pairs = []
+    if finites:
+        for _ in range(min(40, len(finites) ** 2)):
+            pairs.append((rng.choice(finites), rng.choice(finites)))
+    for x, y in pairs:
+        checked += 1
+        prod = product(x, y)
+        if check_cover(prod, "p-closed").outcome is True:
+            if not (check_cover(x, "p-closed").outcome is True
+                    and check_cover(y, "p-closed").outcome is True):
+                violations.append({
+                    "space": space_to_json(prod),
+                    "label": "finite-product",
+                    "instance": {"factors": [space_to_json(x), space_to_json(y)]},
+                })
+    has_product = any(l == "remark-product" for l, _ in universe.spaces())
+    if has_product:
+        checked += 1
+        prod = catalog("remark-product").space
+        pc = check_cover(prod, "p-closed").outcome
+        f1, f2 = remark_product_factors()
+        fpc = (check_cover(f1, "p-closed").outcome,
+               check_cover(f2, "p-closed").outcome)
+        extra["catalog_product_p_closed"] = pc
+        extra["catalog_factor_p_closed"] = list(fpc)
+        if pc is None or None in fpc:
+            unknowns += 1
+        elif pc is True and not all(fpc):
+            violations.append({
+                "space": space_to_json(prod),
+                "label": "remark-product",
+                "instance": {"factors": "catalog"},
+            })
+    return checked, violations, unknowns, extra
+
+
+def _remark_facts(space, ctx):
+    if space != catalog("remark-product").space:
+        return
+    yield {"fact": "factors-p-closed"}
+    yield {"fact": "product-not-p-closed"}
+    for t in flagged(space, "preregular"):
+        if not _trivial(space, t):
+            yield {"fact": "preregular-relative", "sets": [t]}
 
 
 @_claim("REMARK", "the catalog product splits p-closedness from its "
                   "factors and from the relative behaviour of preregular "
-                  "subsets", ("skeleton",))
-def _remark():
-    def gen(space, ctx):
-        if space != catalog("remark-product").space:
-            return
-        yield {"fact": "factors-p-closed"}
-        yield {"fact": "product-not-p-closed"}
-        for t in flagged(space, "preregular"):
-            if not _trivial(space, t):
-                yield {"fact": "preregular-relative", "sets": [t]}
-
-    def pred(space, inst):
-        if inst["fact"] == "factors-p-closed":
-            f1, f2 = remark_product_factors()
-            v1 = check_cover(f1, "p-closed").outcome
-            v2 = check_cover(f2, "p-closed").outcome
-            if v1 is None or v2 is None:
-                return None
-            return v1 and v2
-        if inst["fact"] == "product-not-p-closed":
-            pc = _cover_outcome(space, "p-closed")
-            if pc is None:
-                return None
-            return pc is False
-        return _relative_p_closed(space, inst["sets"][0])
-
-    return gen, pred
+                  "subsets", ("skeleton",), _remark_facts)
+def _remark(space, inst):
+    if inst["fact"] == "factors-p-closed":
+        f1, f2 = remark_product_factors()
+        v1 = check_cover(f1, "p-closed").outcome
+        v2 = check_cover(f2, "p-closed").outcome
+        if v1 is None or v2 is None:
+            return None
+        return v1 and v2
+    if inst["fact"] == "product-not-p-closed":
+        return _same(_cover_outcome(space, "p-closed"), False)
+    return _relative_p_closed(space, inst["sets"][0])
 
 
 # -- running claims -------------------------------------------------------------------
@@ -1079,10 +1073,10 @@ def _run_on_space(cid, label, space, seed, budget, exhaustive):
     checked = 0
     unknowns = 0
     violations = []
-    pred = _PREDS[cid]
-    for inst in _GENS[cid](space, ctx):
+    claim = CLAIMS[cid]
+    for inst in claim.gen(space, ctx):
         checked += 1
-        ok = pred(space, inst)
+        ok = claim.pred(space, inst)
         if ok is None:
             unknowns += 1
         elif ok is False:
@@ -1094,81 +1088,6 @@ def _run_on_space(cid, label, space, seed, budget, exhaustive):
     return checked, violations, unknowns
 
 
-def _run_universe_claim(cid, universe: Universe):
-    """Claims about a universe as a whole rather than single members."""
-    checked = 0
-    violations = []
-    unknowns = 0
-    extra = {}
-    if cid == "C-TOPINV":
-        spaces = [sp for _l, sp in universe.spaces()
-                  if isinstance(sp, FiniteSpace)]
-        classes = homeomorphism_classes(spaces)
-        extra["classes"] = len(classes)
-        for cls in classes:
-            rep = spaces[cls[0]]
-            rep_simple = {p: check_simple(rep, p) for p in SIMPLE_PROPERTIES}
-            rep_cover = {p: check_cover(rep, p).outcome for p in COVER_PROPERTIES}
-            for i in cls[1:]:
-                checked += 1
-                sp = spaces[i]
-                same = all(
-                    check_simple(sp, p) == rep_simple[p] for p in SIMPLE_PROPERTIES
-                ) and all(
-                    check_cover(sp, p).outcome == rep_cover[p]
-                    for p in COVER_PROPERTIES
-                )
-                if not same:
-                    violations.append({
-                        "space": space_to_json(sp),
-                        "label": f"class-of-{cls[0]}",
-                        "instance": {"representative": space_to_json(rep)},
-                    })
-            checked += 1
-        return checked, violations, unknowns, extra
-    if cid == "C-PROD":
-        from topolab.core import product as fs_product
-
-        finites = [sp for _l, sp in universe.spaces()
-                   if isinstance(sp, FiniteSpace) and sp.n <= 3]
-        rng = random.Random(17)
-        pairs = []
-        if finites:
-            for _ in range(min(40, len(finites) ** 2)):
-                pairs.append((rng.choice(finites), rng.choice(finites)))
-        for x, y in pairs:
-            checked += 1
-            prod = fs_product(x, y)
-            if check_cover(prod, "p-closed").outcome is True:
-                if not (check_cover(x, "p-closed").outcome is True
-                        and check_cover(y, "p-closed").outcome is True):
-                    violations.append({
-                        "space": space_to_json(prod),
-                        "label": "finite-product",
-                        "instance": {"factors": [space_to_json(x), space_to_json(y)]},
-                    })
-        has_product = any(l == "remark-product" for l, _ in universe.spaces())
-        if has_product:
-            checked += 1
-            prod = catalog("remark-product").space
-            pc = check_cover(prod, "p-closed").outcome
-            f1, f2 = remark_product_factors()
-            fpc = (check_cover(f1, "p-closed").outcome,
-                   check_cover(f2, "p-closed").outcome)
-            extra["catalog_product_p_closed"] = pc
-            extra["catalog_factor_p_closed"] = list(fpc)
-            if pc is None or None in fpc:
-                unknowns += 1
-            elif pc is True and not all(fpc):
-                violations.append({
-                    "space": space_to_json(prod),
-                    "label": "remark-product",
-                    "instance": {"factors": "catalog"},
-                })
-        return checked, violations, unknowns, extra
-    raise ValueError(f"not a universe-level claim: {cid}")
-
-
 def run_claim(cid: str, universe: Universe, seed: int = 0,
               samples: int = 10_000, exhaustive: bool = False,
               jobs: int = 1) -> Report:
@@ -1177,13 +1096,13 @@ def run_claim(cid: str, universe: Universe, seed: int = 0,
         raise ValueError(f"unknown claim {cid!r}")
     claim = CLAIMS[cid]
     t0 = time.monotonic()
-    checked = 0
-    unknowns = 0
-    violations = []
-    extra = {}
-    if "universe" in claim.kinds:
-        checked, violations, unknowns, extra = _run_universe_claim(cid, universe)
+    if claim.run is not None:
+        checked, violations, unknowns, extra = claim.run(universe)
     else:
+        checked = 0
+        unknowns = 0
+        violations = []
+        extra = {}
         members = [
             (label, sp) for label, sp in universe.spaces()
             if _space_kind(sp) in claim.kinds
@@ -1212,61 +1131,24 @@ def run_claim(cid: str, universe: Universe, seed: int = 0,
         extra["verified_direction"] = (
             "as stated" if not violations else "fails as stated; see violations"
         )
-        if cid == "L3":
-            extra.update(_l3_direction_summary(universe, seed))
-    if cid == "T41" and universe.kind in ("exhaustive", "sampled") and (
-            universe.n or 0) >= 4:
-        extra["clause_c"] = (
-            "exhaustive over principal bases; antichain-generated bases "
-            f"sampled ({flt.SAMPLED_BASES} draws per space, each checked whole)")
+    if claim.summary is not None:
+        extra.update(claim.summary(universe))
     status = "fail" if violations else ("undetermined" if checked == 0 else "pass")
     ms = int((time.monotonic() - t0) * 1000)
     return Report(cid, universe.to_json(), checked, violations, unknowns,
                   status, ms, extra)
 
 
-def _l3_direction_summary(universe: Universe, seed: int) -> dict:
-    """Empirical directions for the relative-preclosure comparison: the
-    reversed inclusion, and the stated one restricted to preregular
-    ambient sets."""
-    reversed_bad = 0
-    restricted_bad = 0
-    minimal = None
-    for label, sp in universe.spaces():
-        if not isinstance(sp, FiniteSpace):
-            continue
-        for b in range(sp.full + 1):
-            fb = sp.classify(b)
-            if not b or not fb.preopen:
-                continue
-            sub, relabel = sp.subspace(b)
-            for a_sub in range(sub.full + 1):
-                if not sub.classify(a_sub).preopen:
-                    continue
-                a = _parent_mask(relabel, a_sub)
-                pcl_rel = _parent_mask(relabel, sub.preclosure(a_sub))
-                stated = sp.preclosure(a) & ~pcl_rel == 0
-                rev = pcl_rel & ~sp.preclosure(a) == 0
-                if not rev:
-                    reversed_bad += 1
-                if fb.preregular and not stated:
-                    restricted_bad += 1
-                if not stated and minimal is None:
-                    minimal = {
-                        "space": space_to_json(sp),
-                        "subsets": [list(points_of(a)), list(points_of(b))],
-                    }
-    return {
-        "reversed_direction_violations": reversed_bad,
-        "preregular_restricted_violations": restricted_bad,
-        "minimal_stated_counterexample": minimal,
-    }
-
-
 def replay(record: dict, cid: str):
-    """Re-evaluate one recorded violation; returns the predicate value."""
+    """Re-evaluate one recorded violation; returns the predicate value.  A
+    universe-level claim has no predicate, so its records do not replay."""
+    pred = CLAIMS[cid].pred
+    if pred is None:
+        raise ValueError(f"{cid} is a universe-level claim; its records do not replay")
     space = space_from_json(record["space"])
-    return _PREDS[cid](space, _instance_from_json(space, record["instance"]))
+    return pred(space, _instance_from_json(space, record["instance"]))
+
+
 
 
 # -- counterexample hunts ------------------------------------------------------------

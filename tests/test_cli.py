@@ -340,6 +340,23 @@ def test_topolab_seed_env_default(monkeypatch):
     assert args.seed == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "", " 3", "+3", "--1", "\u0663", "1_0"])
+def test_malformed_topolab_seed_exit_three(monkeypatch, capsys, value):
+    monkeypatch.setenv("TOPOLAB_SEED", value)
+    code, out, err = run(capsys, "enumerate", "--n", "2", "--count")
+    assert code == 3
+    assert err.startswith("error: TOPOLAB_SEED") and out == ""
+
+
+def test_signed_topolab_seed_reaches_verify(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("TOPOLAB_SEED", "-7")
+    path = tmp_path / "r.json"
+    code, _out, _err = run(capsys, "verify", "--claims", "T1", "--universe",
+                           "exhaustive:2", "--json", str(path))
+    assert code == 0
+    assert json.loads(path.read_text())["seed"] == -7
+
+
 SYMBOLIC_SKEL = ("node n0 card omega mode antichain block antichain2\n"
                  "node n1 card 2 mode antichain block antichain2\n")
 

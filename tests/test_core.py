@@ -562,6 +562,13 @@ def test_topo_parse_errors():
         parse_topo("points 2\nopen x\n")
 
 
+@pytest.mark.parametrize("label", ["+1", "\u0663", "\uff11", "1_0", "-1"])
+def test_topo_parse_reads_point_labels_as_ascii_numerals(label):
+    # int() would read each of these as a point of the carrier
+    with pytest.raises(TopologyError, match="non-integer point label"):
+        parse_topo(f"points 11\nopen {label}\n")
+
+
 # -- misc helpers ---------------------------------------------------------------
 
 

@@ -52,6 +52,11 @@ def test_the_seed_files_parse():
 @given(st.one_of(st.text(max_size=120), mutated(TOPO_SEEDS)))
 @example("points ²\n")
 @example("points " + "1" * 5000 + "\n")
+@example("points 3\nopen \u0661\n")
+@example("points 3\nopen +1\n")
+@example("points 11\nopen 1_0\n")
+@example("points 3\nopen \uff11\n")
+@example("points 3\nopen -1\n")
 def test_parse_topo_parses_or_raises_topology_error(text):
     try:
         space = parse_topo(text)

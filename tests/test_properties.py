@@ -235,6 +235,22 @@ def test_every_false_catalog_witness_survives_the_smoke_test():
     assert exercised >= 10
 
 
+def test_the_smoke_test_rejects_doctored_witnesses():
+    """A witness with a template swapped for one whose saturation covers
+    the escape class, or with an escape class the cover saturates, fails."""
+    prod = catalog("remark-product").space
+    cp = COVER_PROPERTIES["p-closed"]
+    witness = check_cover(prod, "p-closed").witness
+    assert witness["escape_class"] == {"node": "t*d", "elem": 0}
+    assert smoke_test_witness(prod, cp, witness)
+    for key in ("p*d.e0", "p*d.e1"):
+        templates = {**witness["templates"], key: full_set(prod).to_json()}
+        assert not smoke_test_witness(prod, cp, {**witness, "templates": templates}), key
+    # every template of the cover holds e1 of t*d infinitely often
+    escape = {"node": "t*d", "elem": 1}
+    assert not smoke_test_witness(prod, cp, {**witness, "escape_class": escape})
+
+
 # -- simple properties: finite ----------------------------------------------------------
 
 

@@ -202,7 +202,7 @@ def test_instances_survive_the_record_codec(universe):
     import itertools
     import random
 
-    from topolab.verify import _GENS, _PREDS, Ctx, _instance_from_json, _instance_json
+    from topolab.verify import Ctx, _instance_from_json, _instance_json
 
     kinds = set()
     for cid, claim in sorted(CLAIMS.items()):
@@ -212,11 +212,11 @@ def test_instances_survive_the_record_codec(universe):
             if ("finite" if isinstance(space, FiniteSpace) else "skeleton") not in claim.kinds:
                 continue
             ctx = Ctx(rng=random.Random(f"codec|{cid}|{label}"))
-            for inst in itertools.islice(_GENS[cid](space, ctx), 200):
+            for inst in itertools.islice(claim.gen(space, ctx), 200):
                 record = json.loads(json.dumps(_instance_json(space, inst)))
                 back = _instance_from_json(space, record)
                 assert back == inst, (cid, label, record)
-                assert _PREDS[cid](space, back) == _PREDS[cid](space, inst), (
+                assert claim.pred(space, back) == claim.pred(space, inst), (
                     cid, label, record)
                 kinds.update(record)
     assert {"subsets", "codomain", "assignment", "samples"} <= kinds
@@ -235,6 +235,118 @@ def test_c_prod_universe_claim():
     assert rep.status == "pass"
     assert rep.extra["catalog_product_p_closed"] is False
     assert rep.extra["catalog_factor_p_closed"] == [True, True]
+
+
+# -- the claim records and their three-valued helpers ------------------------------------
+
+
+V3 = (True, False, None)
+EQUAL = {(True, True): True, (True, False): False, (False, True): False,
+         (False, False): True}
+
+
+def test_each_claim_is_one_record():
+    for cid, claim in CLAIMS.items():
+        assert claim.id == cid
+        if "universe" in claim.kinds:
+            assert claim.run is not None and claim.pred is claim.gen is None
+        else:
+            assert claim.run is None and claim.pred and claim.gen
+    assert CLAIMS["L3"].summary is not None and CLAIMS["T41"].summary is not None
+
+
+@pytest.mark.parametrize("cid", ["C-TOPINV", "C-PROD"])
+def test_universe_claims_do_not_replay(cid):
+    record = {"space": space_to_json(FiniteSpace(1, (0, 1))), "instance": {}}
+    with pytest.raises(ValueError, match="universe-level"):
+        replay(record, cid)
+
+
+@pytest.mark.parametrize("h", V3)
+@pytest.mark.parametrize("c", V3)
+def test_implies_reads_the_conclusion_only_under_a_true_hypothesis(h, c):
+    from topolab.verify import _implies
+
+    read = []
+    got = _implies(h, lambda: read.append(c) or c)
+    assert got is {True: c, False: True, None: None}[h]
+    assert read == ([c] if h is True else [])
+
+
+@pytest.mark.parametrize("a", V3)
+@pytest.mark.parametrize("b", V3)
+def test_same_is_unknown_aware_equality(a, b):
+    from topolab.verify import _same
+
+    assert _same(a, b) is EQUAL.get((a, b))
+
+
+@pytest.mark.parametrize("a", V3)
+@pytest.mark.parametrize("b", V3)
+def test_every_stops_at_the_first_value_that_is_not_true(a, b):
+    from topolab.verify import _every
+
+    read = []
+
+    def values():
+        for v in (a, b):
+            read.append(v)
+            yield v
+
+    assert _every(values()) is (b if a is True else a)
+    assert read == ([a, b] if a is True else [a])
+
+
+def _patched_readers(monkeypatch, cover, simple):
+    """Stub the verdict readers of the claims; returns the reads in order."""
+    import topolab.verify as V
+
+    reads = []
+    monkeypatch.setattr(V, "_cover_outcome",
+                        lambda space, prop: reads.append(prop) or cover[prop])
+    monkeypatch.setattr(V, "check_simple",
+                        lambda space, name: reads.append(name) or simple[name])
+    return reads
+
+
+@pytest.mark.parametrize("pc", V3)
+@pytest.mark.parametrize("nc", V3)
+@pytest.mark.parametrize("sc", V3)
+def test_t4_a_later_unknown_beats_an_earlier_false(monkeypatch, pc, nc, sc):
+    reads = _patched_readers(
+        monkeypatch, {"p-closed": pc, "nearly-compact": nc, "s-closed": sc},
+        {"aleph0-ed": True, "extremally-disconnected": True})
+    got = CLAIMS["T4"].pred(None, {})
+    if pc is not True:
+        assert got is {False: True, None: None}[pc] and reads == ["p-closed"]
+    elif nc is None:
+        assert got is None and "s-closed" not in reads
+    else:
+        assert got is (None if sc is None else nc and sc)
+    if (pc, nc, sc) == (True, False, None):
+        assert got is None
+
+
+@pytest.mark.parametrize("first", V3)
+@pytest.mark.parametrize("second", V3)
+@pytest.mark.parametrize("regular", [True, False])
+def test_t42_the_first_rung_not_true_decides(monkeypatch, first, second, regular):
+    from topolab.verify import T42_LADDER
+
+    (reg1, comp1), (reg2, comp2), (reg3, comp3) = T42_LADDER
+    reads = _patched_readers(
+        monkeypatch, {"p-closed": True, comp1: first, comp2: second, comp3: None},
+        {reg1: regular, reg2: True, reg3: True})
+    got = CLAIMS["T42"].pred(None, {})
+    rungs = ([first] if regular else []) + [second, None]
+    decided = next(v for v in rungs if v is not True)
+    assert got is decided
+    if regular and first is not True:
+        assert reads == ["p-closed", reg1, comp1]
+    if regular and (first, second) == (False, None):
+        assert got is False
+    if not regular:
+        assert comp1 not in reads
 
 
 def test_report_json_roundtrip():
